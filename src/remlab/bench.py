@@ -22,10 +22,10 @@ import concurrent.futures
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from . import cluster, faults, playbook
+from . import faults, playbook
 from .errors import RunError
 from .faults import Scenario
 from .grading import RewardWeights, grade
@@ -56,17 +56,20 @@ class RunManifest:
             "policy_id": self.policy_id,
             "policy_config": dict(self.policy_config),
             "weights": list(self.weights.as_tuple()),
-            "loop": {
-                "t_max": self.loop.t_max,
-                "probe_budget": self.loop.probe_budget,
-                "settle_steps": self.loop.settle_steps,
-                "step_ms": self.loop.step_ms,
-                "verification_mode": self.loop.verification_mode,
-                "no_probe": self.loop.no_probe,
-                "no_reflection": self.loop.no_reflection,
-            },
+            "loop": asdict(self.loop),
             "version": self.version,
         }
+
+    @classmethod
+    def from_doc(cls, doc: Mapping) -> RunManifest:
+        """Inverse of ``to_doc``: ``from_doc(m.to_doc()) == m``."""
+        return cls(
+            **{
+                **doc,
+                "weights": RewardWeights(*doc["weights"]),
+                "loop": LoopConfig(**doc["loop"]),
+            }
+        )
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
@@ -152,14 +155,13 @@ def run_scenario(
     aux=None,
 ) -> Episode:
     """Fresh cluster, inject all faults, settle, run the episode, restore."""
-    aux = aux or faults.build_aux(topology)
-    state_seed = faults._stable_u32(f"{manifest.seed}:{scenario.scenario_id}")
-    state = cluster.load_topology(topology, seed=state_seed)
-    records = [faults.inject(state, spec) for spec in scenario.faults]
-    for _ in range(manifest.loop.settle_steps):
-        cluster.step(state, manifest.loop.step_ms)
-    reports = [faults.make_report(r, aux) for r in records]
-    report = faults.composite_report(reports)
+    state, records, report = faults.prepare_episode(
+        topology,
+        scenario,
+        faults.state_seed_for(manifest.seed, scenario.scenario_id),
+        manifest.loop,
+        aux or faults.build_aux(topology),
+    )
     episode = run_episode(
         policy, state, records, manifest.loop, report, scenario_id=scenario.scenario_id
     )
@@ -355,13 +357,8 @@ def load_run(run_dir: str) -> tuple[dict, list[Scenario], list[Episode], dict]:
     return manifest_doc, scenarios, episodes, aggregates
 
 
-REPORT_FORMATS = ("csv",)
-
-
-def emit_report(result: BenchResult, out_dir: str, fmt: str = "csv") -> list[str]:
+def emit_report(result: BenchResult, out_dir: str) -> list[str]:
     """Write result.csv, summary.txt and plot_points.csv; returns paths."""
-    if fmt not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {fmt!r}; supported: {REPORT_FORMATS}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
@@ -446,24 +443,7 @@ def replay_run(run_dir: str, topology=None) -> dict:
 
     if topology is None:
         topology = bundled_topology(manifest_doc["topology"])
-    loop_doc = manifest_doc["loop"]
-    manifest = RunManifest(
-        topology=manifest_doc["topology"],
-        difficulty=manifest_doc["difficulty"],
-        seed=manifest_doc["seed"],
-        policy_id="replay",
-        weights=RewardWeights(*manifest_doc["weights"]),
-        loop=LoopConfig(
-            t_max=loop_doc["t_max"],
-            probe_budget=loop_doc["probe_budget"],
-            settle_steps=loop_doc["settle_steps"],
-            step_ms=loop_doc["step_ms"],
-            verification_mode=loop_doc["verification_mode"],
-            no_probe=loop_doc["no_probe"],
-            no_reflection=loop_doc["no_reflection"],
-        ),
-        version=manifest_doc["version"],
-    )
+    manifest = RunManifest.from_doc(manifest_doc)
     scenario_by_id = {s.scenario_id: s for s in scenarios}
     digest_matches = 0
     replayed = 0

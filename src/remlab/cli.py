@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="re-emit reports for a persisted run")
     p_report.add_argument("--run-dir", required=True)
-    p_report.add_argument("--format", default="csv")
 
     p_replay = sub.add_parser("replay", help="verify a persisted run by replaying it")
     p_replay.add_argument("--run-dir", required=True)
@@ -139,19 +138,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "report":
         manifest_doc, scenarios, episodes, aggregates = bench.load_run(args.run_dir)
-        loop_doc = manifest_doc["loop"]
-        manifest = bench.RunManifest(
-            topology=manifest_doc["topology"],
-            difficulty=manifest_doc["difficulty"],
-            seed=manifest_doc["seed"],
-            policy_id=manifest_doc["policy_id"],
-            policy_config=manifest_doc["policy_config"],
-            weights=RewardWeights(*manifest_doc["weights"]),
-            loop=LoopConfig(**loop_doc),
-            version=manifest_doc["version"],
-        )
+        manifest = bench.RunManifest.from_doc(manifest_doc)
         result = bench.BenchResult(manifest=manifest, episodes=episodes, aggregates=aggregates)
-        for path in bench.emit_report(result, args.run_dir, fmt=args.format):
+        for path in bench.emit_report(result, args.run_dir):
             print(path)
         return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .cluster import (
 )
 from .errors import InjectionError, LineageError, NotFoundError, SuiteGenerationError
 from .topology import Topology, summarize
+
+if TYPE_CHECKING:
+    from .loop import LoopConfig
 
 CORRUPT_VALUE = "!!corrupted!!"
 
@@ -341,6 +344,35 @@ def report_faults(report: FailureReport) -> list[tuple[FailureType, str]]:
     types = report.failure_type.split(",")
     targets = report.target_service.split(",")
     return [(FailureType(t), target) for t, target in zip(types, targets)]
+
+
+# --- episode prefix -------------------------------------------------------------
+
+
+def state_seed_for(base_seed: int, scenario_id: str) -> int:
+    """Seed of the fresh cluster an episode of ``scenario_id`` boots from."""
+    return _stable_u32(f"{base_seed}:{scenario_id}")
+
+
+def prepare_episode(
+    topology: Topology,
+    scenario: Scenario,
+    state_seed: int,
+    loop_config: LoopConfig,
+    aux: AuxContext,
+) -> tuple[ClusterState, list[FailureRecord], FailureReport]:
+    """Boot a fresh cluster, inject every fault, settle, and report.
+
+    Returns the faulted state, the ground-truth records and the composite
+    report a policy sees. Benchmark episodes and training rollouts both
+    start from here, so they see the same failure for the same seed.
+    """
+    state = cluster.load_topology(topology, seed=state_seed)
+    records = [inject(state, spec) for spec in scenario.faults]
+    for _ in range(loop_config.settle_steps):
+        cluster.step(state, loop_config.step_ms)
+    report = composite_report([make_report(r, aux) for r in records])
+    return state, records, report
 
 
 # --- verification and recovery -------------------------------------------------

@@ -218,7 +218,7 @@ def run_episode(
                 Attempt(
                     index=t,
                     playbook_text="",
-                    struct=playbook.check_structure(""),
+                    struct=playbook.EMPTY_STRUCT,
                     safety=SafetyReport(unsafe=False, matched_rules=()),
                     trace=None,
                     verdict=0,
@@ -301,7 +301,7 @@ def _run_attempt(
         return Attempt(
             index=t,
             playbook_text="",
-            struct=playbook.check_structure(""),
+            struct=playbook.EMPTY_STRUCT,
             safety=SafetyReport(unsafe=False, matched_rules=()),
             trace=None,
             verdict=0,
@@ -309,21 +309,7 @@ def _run_attempt(
             error="no-proposal",
         )
 
-    # The wire format accepts both a raw document and a fenced block.
-    effective_text = proposal.playbook_text
-    parsed: playbook.Playbook | None = None
-    try:
-        parsed = playbook.parse_playbook(effective_text)
-    except playbook.PlaybookParseError:
-        fenced = playbook.extract_playbook_text(effective_text)
-        if fenced is not None:
-            try:
-                parsed = playbook.parse_playbook(fenced)
-                effective_text = fenced
-            except playbook.PlaybookParseError:
-                parsed = None
-
-    struct = playbook.check_structure(effective_text)
+    parsed, struct = playbook.read_proposal(proposal.playbook_text)
     safety = SafetyReport(unsafe=False, matched_rules=())
     trace: ExecutionTrace | None = None
     if parsed is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import yaml
@@ -56,12 +57,35 @@ class Playbook:
 _ACTION_KEYS = ("shell", "command")
 
 
-def parse_playbook(text: str) -> Playbook:
-    """Parse playbook text, raising PlaybookParseError on violations."""
+def _load(text: str) -> object:
+    """Load one YAML document, raising PlaybookParseError when it is malformed."""
     try:
-        raw = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise PlaybookParseError(f"malformed YAML: {exc}") from exc
+
+
+def _action_error(task: Mapping) -> str | None:
+    """Why a task's action is invalid, or None; parse and structure share this rule.
+
+    A task needs exactly one of ``shell`` / ``command``, with a string or number value.
+    """
+    actions = [k for k in _ACTION_KEYS if k in task]
+    if not actions:
+        return "no recognized action (need shell or command)"
+    if len(actions) > 1:
+        return "a task may have only one action"
+    if not isinstance(task[actions[0]], (str, int, float)):
+        return f"{actions[0]} must be a string or number"
+    return None
+
+
+def parse_playbook(text: str) -> Playbook:
+    """Parse playbook text, raising PlaybookParseError on violations."""
+    return _plays_from_doc(_load(text))
+
+
+def _plays_from_doc(raw: object) -> Playbook:
     if raw is None:
         raise PlaybookParseError("empty document")
     if not isinstance(raw, list):
@@ -78,15 +102,10 @@ def parse_playbook(text: str) -> Playbook:
         for t_idx, task_raw in enumerate(tasks_raw):
             if not isinstance(task_raw, Mapping):
                 raise PlaybookParseError(f"play {p_idx} task {t_idx} is not a mapping")
-            actions = [k for k in _ACTION_KEYS if k in task_raw]
-            if len(actions) == 0:
-                raise PlaybookParseError(
-                    f"play {p_idx} task {t_idx}: no recognized action (need shell or command)"
-                )
-            if len(actions) > 1:
-                raise PlaybookParseError(
-                    f"play {p_idx} task {t_idx}: a task may have only one action"
-                )
+            error = _action_error(task_raw)
+            if error is not None:
+                raise PlaybookParseError(f"play {p_idx} task {t_idx}: {error}")
+            action = next(k for k in _ACTION_KEYS if k in task_raw)
             register = task_raw.get("register")
             if register is not None:
                 register = str(register)
@@ -99,8 +118,8 @@ def parse_playbook(text: str) -> Playbook:
             tasks.append(
                 TaskDef(
                     name=str(task_raw.get("name", "")),
-                    action=actions[0],
-                    command=str(task_raw[actions[0]]).strip(),
+                    action=action,
+                    command=str(task_raw[action]).strip(),
                     register=register,
                     when=None if when is None else str(when),
                 )
@@ -168,45 +187,33 @@ class StructReport:
     r_struct: float
 
 
+# The structure report of an attempt that proposed nothing: every check fails.
+EMPTY_STRUCT = StructReport(
+    checks=MappingProxyType(dict.fromkeys(STRUCT_CHECKS, False)), r_struct=0.0
+)
+
 _WHEN_RE = re.compile(
     r"^\s*([A-Za-z_][\w.]*|-?\d+(?:\.\d+)?)\s*(?:\|\s*float\s*)?(>=|<=|==|>|<)\s*(-?\d+(?:\.\d+)?)\s*$"
 )
 
 
-def check_structure(source: str | Playbook) -> StructReport:
+def check_structure(text: str) -> StructReport:
     """Grade structural validity of playbook text (accepts parse failures).
 
     Seven named checks; r_struct is the passed fraction. Unparsable input
     fails everything.
     """
-    if isinstance(source, Playbook):
-        raw: object = [
-            {
-                "name": p.name,
-                **({"hosts": p.hosts} if p.hosts is not None else {}),
-                "tasks": [
-                    {
-                        "name": t.name,
-                        t.action: t.command,
-                        **({"register": t.register} if t.register else {}),
-                        **({"when": t.when} if t.when else {}),
-                    }
-                    for t in p.tasks
-                ],
-            }
-            for p in source.plays
-        ]
-        parsable = True
-    else:
-        try:
-            raw = yaml.safe_load(source)
-            parsable = isinstance(raw, list) and len(raw) > 0
-        except yaml.YAMLError:
-            raw, parsable = None, False
+    try:
+        raw = _load(text)
+    except PlaybookParseError:
+        raw = None
+    return _structure_from_doc(raw)
 
+
+def _structure_from_doc(raw: object) -> StructReport:
     checks = dict.fromkeys(STRUCT_CHECKS, False)
-    checks["parsable"] = parsable
-    if parsable:
+    checks["parsable"] = isinstance(raw, list) and len(raw) > 0
+    if checks["parsable"]:
         plays = [p for p in raw if isinstance(p, Mapping)]
         checks["has_play"] = len(plays) > 0 and len(plays) == len(raw)
         checks["hosts_present"] = all(bool(p.get("hosts")) for p in plays)
@@ -226,8 +233,7 @@ def check_structure(source: str | Playbook) -> StructReport:
                 if not isinstance(task, Mapping):
                     all_tasks_valid = False
                     continue
-                actions = [k for k in _ACTION_KEYS if k in task]
-                if len(actions) != 1 or not isinstance(task[actions[0]] if actions else None, (str, int, float)):
+                if _action_error(task) is not None:
                     all_tasks_valid = False
                 reg = task.get("register")
                 if reg is not None:
@@ -245,6 +251,34 @@ def check_structure(source: str | Playbook) -> StructReport:
 
     r_struct = sum(checks.values()) / len(STRUCT_CHECKS)
     return StructReport(checks=checks, r_struct=r_struct)
+
+
+def read_proposal(text: str) -> tuple[Playbook | None, StructReport]:
+    """Read a proposed playbook: the raw document, or else its first fenced block.
+
+    Returns the playbook to execute (None when neither text parses) and
+    the structure report of the same document. The fenced block is used
+    only when the raw text does not parse and the block does; otherwise
+    structure is graded on the raw text. Each text is loaded once.
+    """
+    raw, plays = _read(text)
+    if plays is None and (fenced := extract_playbook_text(text)) is not None:
+        fenced_raw, fenced_plays = _read(fenced)
+        if fenced_plays is not None:
+            raw, plays = fenced_raw, fenced_plays
+    return plays, _structure_from_doc(raw)
+
+
+def _read(text: str) -> tuple[object, Playbook | None]:
+    """(loaded document or None, its playbook or None when it does not parse)."""
+    try:
+        raw = _load(text)
+    except PlaybookParseError:
+        return None, None
+    try:
+        return raw, _plays_from_doc(raw)
+    except PlaybookParseError:
+        return raw, None
 
 
 def _when_resolvable(expr: str, known_registers: set[str]) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cluster, faults
 from .errors import DivergenceError, EmptyDatasetError, InvalidArgumentError, NotFoundError
-from .faults import AuxContext, Scenario, build_aux
+from .faults import AuxContext, Scenario, build_aux, state_seed_for
 from .grading import RewardWeights, grade
 from .loop import LoopConfig, run_episode
 from .policies import (
@@ -201,20 +201,13 @@ def rollout(
     state_seed: int,
 ):
     """Inject a scenario into a fresh cluster and run one episode."""
-    state = cluster.load_topology(env.topology, seed=state_seed)
-    records = [faults.inject(state, spec) for spec in scenario.faults]
-    for _ in range(env.loop_config.settle_steps):
-        cluster.step(state, env.loop_config.step_ms)
-    reports = [faults.make_report(r, env.aux) for r in records]
-    report = faults.composite_report(reports)
+    state, records, report = faults.prepare_episode(
+        env.topology, scenario, state_seed, env.loop_config, env.aux
+    )
     episode = run_episode(
         policy, state, records, env.loop_config, report, scenario_id=scenario.scenario_id
     )
     return episode, state
-
-
-def state_seed_for(base_seed: int, scenario_id: str) -> int:
-    return faults._stable_u32(f"{base_seed}:{scenario_id}")
 
 
 def harvest_expert(env: TrainEnv, teacher, n: int, seed: int = 0) -> list[SftExample]:
@@ -251,12 +244,13 @@ def harvest_expert(env: TrainEnv, teacher, n: int, seed: int = 0) -> list[SftExa
 def _context_class_for_episode(env: TrainEnv, scenario: Scenario, seed: int) -> int:
     """Context class as the toy policy would see it for this scenario."""
     probe_policy = ToyPolicy.uniform(env.library, env.topology, sample_seed=0)
-    state = cluster.load_topology(env.topology, seed=state_seed_for(seed, scenario.scenario_id))
-    records = [faults.inject(state, spec) for spec in scenario.faults]
-    for _ in range(env.loop_config.settle_steps):
-        cluster.step(state, env.loop_config.step_ms)
-    reports = [faults.make_report(r, env.aux) for r in records]
-    report = faults.composite_report(reports)
+    state, _, report = faults.prepare_episode(
+        env.topology,
+        scenario,
+        state_seed_for(seed, scenario.scenario_id),
+        env.loop_config,
+        env.aux,
+    )
     inp = PolicyInput(report=report, context=env.aux, history=[])
     request = probe_policy.decide(inp)
     assert isinstance(request, ProbeRequest)

@@ -18,6 +18,7 @@ from remlab.playbook import (
     match_command,
     parse_playbook,
     r_exec,
+    read_proposal,
     render_playbook,
 )
 
@@ -82,6 +83,16 @@ def test_parse_rejects_duplicate_register():
 def test_parse_rejects_non_list_root():
     with pytest.raises(PlaybookParseError, match="list of plays"):
         parse_playbook("name: not-a-playbook\n")
+
+
+@pytest.mark.parametrize("value", ["[a, b]", "{cmd: echo hi}", "null"])
+def test_non_scalar_action_is_a_parse_error(value):
+    """The executor never runs what the structure grader rejects."""
+    text = f"- name: p\n  hosts: all\n  tasks:\n    - name: t\n      shell: {value}\n"
+    with pytest.raises(PlaybookParseError, match="shell must be a string or number"):
+        parse_playbook(text)
+    assert check_structure(text).checks["actions_valid"] is False
+    assert read_proposal(text)[0] is None
 
 
 def test_parse_tolerates_missing_hosts():
@@ -149,6 +160,53 @@ def test_extract_fenced_block(cpu_scale_playbook_text):
     inner = extract_playbook_text(wrapped)
     assert parse_playbook(inner).tasks[0].name == "Check CPU usage"
     assert extract_playbook_text("no fence here") is None
+
+
+# --- reading a proposal ---------------------------------------------------------------
+
+_VALID = "- name: p\n  hosts: all\n  tasks:\n    - {name: t, shell: echo hi, register: r}\n"
+
+
+def _read_in_two_passes(text):
+    """Reference reader: parse the raw text, else its fenced block, then grade that text."""
+    effective = text
+    try:
+        parsed = parse_playbook(effective)
+    except PlaybookParseError:
+        parsed = None
+        fenced = extract_playbook_text(effective)
+        if fenced is not None:
+            try:
+                parsed = parse_playbook(fenced)
+                effective = fenced
+            except PlaybookParseError:
+                pass
+    return parsed, check_structure(effective)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _VALID,
+        f"Here is the fix:\n```yaml\n{_VALID}```\nIt restarts nothing.",
+        "Plan:\n```yaml\n- name: p\n  tasks: [unclosed\n```\n",
+        "Plan:\n```yaml\n- name: p\n  hosts: all\n  tasks:\n    - {name: t}\n```\n",
+        "I would restart the orders service.",
+        "name: not-a-playbook\nhosts: all\n",
+        "- name: p\n  hosts: all\n  tasks:\n    - {name: t, register: r}\n",
+        "- name: p\n\thosts: all\n",
+        "",
+    ],
+    ids=[
+        "raw-valid", "fenced-valid", "fenced-malformed", "fenced-no-action", "prose-no-fence",
+        "mapping-root", "task-without-action", "tab-indentation", "empty",
+    ],
+)
+def test_read_proposal_matches_two_pass_reading(text):
+    parsed, struct = read_proposal(text)
+    ref_parsed, ref_struct = _read_in_two_passes(text)
+    assert parsed == ref_parsed
+    assert struct == ref_struct
 
 
 # --- structure ----------------------------------------------------------------------

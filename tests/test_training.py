@@ -291,6 +291,21 @@ def test_grpo_from_uniform_reaches_target_ra(env, library, simple_micro):
     assert wins / len(env.scenarios) >= 0.9
 
 
+def test_rollout_and_benchmark_episode_agree(env, library, simple_micro):
+    """A training rollout and a benchmark episode of one seed see the same failure."""
+    from remlab.bench import RunManifest, run_scenario
+
+    manifest = RunManifest(topology="simple-micro", difficulty="easy", seed=3, policy_id="expert")
+    for scenario in env.scenarios[:5]:
+        episode, _ = training.rollout(
+            env, ExpertPolicy(library), scenario, training.state_seed_for(3, scenario.scenario_id)
+        )
+        reference = run_scenario(scenario, simple_micro, manifest, ExpertPolicy(library))
+        assert (episode.final_digest, episode.report_description) == (
+            reference.final_digest, reference.report_description
+        )
+
+
 def test_stage_prerequisites_enforced(env):
     with pytest.raises(InvalidArgumentError):
         train_stage(TrainConfig(stage="sim_rft", seed=0), env, init_policy=None)
