@@ -21,9 +21,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-import yaml
-
-from . import cluster
+from . import cluster, yamlio
 from .cluster import ClusterState, PerturbationKind, link_key
 from .errors import InvalidArgumentError, NotFoundError, PlaybookParseError
 
@@ -56,12 +54,26 @@ class Playbook:
 
 _ACTION_KEYS = ("shell", "command")
 
+# Longest playbook text that is loaded at all. Nesting depth is at most the
+# length, so this keeps libyaml's recursive composer far from the stack depth
+# that crashes the process (about 25,000 levels), on any thread.
+MAX_PROPOSAL_CHARS = 8192
+
 
 def _load(text: str) -> object:
-    """Load one YAML document, raising PlaybookParseError when it is malformed."""
+    """Load one YAML document, raising PlaybookParseError when it cannot be loaded.
+
+    Text longer than MAX_PROPOSAL_CHARS is not loaded. Any loader exception
+    is a parse failure: malformed YAML, but also e.g. ``ValueError`` for an
+    impossible date or ``RecursionError`` for deep nesting.
+    """
+    if len(text) > MAX_PROPOSAL_CHARS:
+        raise PlaybookParseError(
+            f"playbook text has {len(text)} characters; the limit is {MAX_PROPOSAL_CHARS}"
+        )
     try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        return yamlio.load(text)
+    except Exception as exc:
         raise PlaybookParseError(f"malformed YAML: {exc}") from exc
 
 
@@ -82,7 +94,11 @@ def _action_error(task: Mapping) -> str | None:
 
 def parse_playbook(text: str) -> Playbook:
     """Parse playbook text, raising PlaybookParseError on violations."""
-    return _plays_from_doc(_load(text))
+    raw = _load(text)
+    try:
+        return _plays_from_doc(raw)
+    except RecursionError as exc:
+        raise PlaybookParseError("document nested too deeply") from exc
 
 
 def _plays_from_doc(raw: object) -> Playbook:
@@ -154,7 +170,7 @@ def render_playbook(pb: Playbook) -> str:
                 task_doc["when"] = task.when
             play_doc["tasks"].append(task_doc)
         doc.append(play_doc)
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yamlio.dump(doc)
 
 
 _FENCE_RE = re.compile(r"```(?:yaml|yml|ansible)?\s*\n(.*?)```", re.DOTALL)
@@ -203,11 +219,7 @@ def check_structure(text: str) -> StructReport:
     Seven named checks; r_struct is the passed fraction. Unparsable input
     fails everything.
     """
-    try:
-        raw = _load(text)
-    except PlaybookParseError:
-        raw = None
-    return _structure_from_doc(raw)
+    return _read(text)[1]
 
 
 def _structure_from_doc(raw: object) -> StructReport:
@@ -259,26 +271,32 @@ def read_proposal(text: str) -> tuple[Playbook | None, StructReport]:
     Returns the playbook to execute (None when neither text parses) and
     the structure report of the same document. The fenced block is used
     only when the raw text does not parse and the block does; otherwise
-    structure is graded on the raw text. Each text is loaded once.
+    structure is graded on the raw text. Each text is loaded once. Never
+    raises: text that cannot be read is a parse failure.
     """
-    raw, plays = _read(text)
+    plays, struct = _read(text)
     if plays is None and (fenced := extract_playbook_text(text)) is not None:
-        fenced_raw, fenced_plays = _read(fenced)
+        fenced_plays, fenced_struct = _read(fenced)
         if fenced_plays is not None:
-            raw, plays = fenced_raw, fenced_plays
-    return plays, _structure_from_doc(raw)
+            plays, struct = fenced_plays, fenced_struct
+    return plays, struct
 
 
-def _read(text: str) -> tuple[object, Playbook | None]:
-    """(loaded document or None, its playbook or None when it does not parse)."""
+def _read(text: str) -> tuple[Playbook | None, StructReport]:
+    """(the text's playbook or None when it does not parse, its structure report)."""
     try:
         raw = _load(text)
     except PlaybookParseError:
-        return None, None
+        return None, EMPTY_STRUCT
     try:
-        return raw, _plays_from_doc(raw)
-    except PlaybookParseError:
-        return raw, None
+        try:
+            plays = _plays_from_doc(raw)
+        except PlaybookParseError:
+            plays = None
+        return plays, _structure_from_doc(raw)
+    except RecursionError:
+        # libyaml loads nesting deeper than str() of a field can walk.
+        return None, EMPTY_STRUCT
 
 
 def _when_resolvable(expr: str, known_registers: set[str]) -> bool:

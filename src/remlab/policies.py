@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import yaml
 
-from . import cluster
+from . import cluster, yamlio
 from .cluster import ProbeQuery, RECOVERY_BAND, split_link_key
 from .errors import InvalidArgumentError, TranscriptExhaustedError
 from .faults import (
@@ -253,7 +252,7 @@ class TemplateLibrary:
     def render(self, action_id: int, faults: list[tuple[FailureType, str]]) -> str:
         """Render one template against (the first of) the reported faults."""
         ftype, target = faults[0]
-        return yaml.safe_dump([self.play_doc(action_id, ftype, target)], sort_keys=False)
+        return yamlio.dump([self.play_doc(action_id, ftype, target)])
 
     def render_expert(self, faults: list[tuple[FailureType, str]]) -> str:
         """Render the matching template for every reported fault (one play each)."""
@@ -261,7 +260,7 @@ class TemplateLibrary:
             self.play_doc(self.expert_action(ftype), ftype, target)
             for ftype, target in faults
         ]
-        return yaml.safe_dump(docs, sort_keys=False)
+        return yamlio.dump(docs)
 
 
 def build_default_library(topology: Topology) -> TemplateLibrary:

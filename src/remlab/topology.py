@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-import yaml
-
+from . import yamlio
 from .errors import TopologyError
 
 BUNDLED_TOPOLOGIES = ("simple-micro", "boutique-like", "ticket-like")
@@ -84,11 +83,15 @@ class Topology:
 
 
 def parse_topology(doc: str | Mapping) -> Topology:
-    """Parse and validate a topology document (YAML text or mapping)."""
+    """Parse and validate a topology document (YAML text or mapping).
+
+    Any failure to load the text is a TopologyError. Topology files are the
+    operator's own input, so unlike playbook text they are not length-capped.
+    """
     if isinstance(doc, str):
         try:
-            raw = yaml.safe_load(doc)
-        except yaml.YAMLError as exc:
+            raw = yamlio.load(doc)
+        except Exception as exc:
             raise TopologyError(f"malformed topology YAML: {exc}") from exc
     else:
         raw = doc

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cluster, faults
 from .errors import DivergenceError, EmptyDatasetError, InvalidArgumentError, NotFoundError
-from .faults import AuxContext, Scenario, build_aux, state_seed_for
+from .faults import AuxContext, FailureReport, Scenario, build_aux, state_seed_for
 from .grading import RewardWeights, grade
 from .loop import LoopConfig, run_episode
 from .policies import (
@@ -222,13 +222,22 @@ def harvest_expert(env: TrainEnv, teacher, n: int, seed: int = 0) -> list[SftExa
     examples: list[SftExample] = []
     for i in range(n):
         scenario = env.scenarios[i % len(env.scenarios)]
-        episode, _ = rollout(env, teacher, scenario, state_seed_for(seed, scenario.scenario_id))
+        state, records, report = faults.prepare_episode(
+            env.topology,
+            scenario,
+            state_seed_for(seed, scenario.scenario_id),
+            env.loop_config,
+            env.aux,
+        )
+        # Probing is read-only, so classifying first leaves the episode unchanged.
+        context_class = _context_class(env, state, report)
+        episode = run_episode(
+            teacher, state, records, env.loop_config, report, scenario_id=scenario.scenario_id
+        )
         if not episode.success:
             continue
-        final = episode.attempts[-1]
         ftype = scenario.faults[0].ftype
         action = env.library.expert_action(ftype)
-        context_class = _context_class_for_episode(env, scenario, seed)
         trace_text = (
             f"report names {scenario.faults[0].target} with {ftype.value}; "
             f"applied template {action} and verified recovery"
@@ -241,16 +250,9 @@ def harvest_expert(env: TrainEnv, teacher, n: int, seed: int = 0) -> list[SftExa
     return examples
 
 
-def _context_class_for_episode(env: TrainEnv, scenario: Scenario, seed: int) -> int:
-    """Context class as the toy policy would see it for this scenario."""
+def _context_class(env: TrainEnv, state: cluster.ClusterState, report: FailureReport) -> int:
+    """Context class as the toy policy would see it on this freshly faulted state."""
     probe_policy = ToyPolicy.uniform(env.library, env.topology, sample_seed=0)
-    state, _, report = faults.prepare_episode(
-        env.topology,
-        scenario,
-        state_seed_for(seed, scenario.scenario_id),
-        env.loop_config,
-        env.aux,
-    )
     inp = PolicyInput(report=report, context=env.aux, history=[])
     request = probe_policy.decide(inp)
     assert isinstance(request, ProbeRequest)

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
-from remlab import cluster, playbook
+from remlab import cluster, faults, playbook, yamlio
 from remlab.errors import PlaybookParseError
+from remlab.faults import FailureSpec, FailureType, build_aux
+from remlab.loop import LoopConfig, run_episode
 from remlab.playbook import (
     COMMAND_CATALOG,
     Play,
@@ -21,6 +28,8 @@ from remlab.playbook import (
     read_proposal,
     render_playbook,
 )
+from remlab.policies import RemedyProposal, ReplayPolicy, build_default_library
+from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
 
 
 # --- parse ---------------------------------------------------------------------
@@ -184,29 +193,184 @@ def _read_in_two_passes(text):
     return parsed, check_structure(effective)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        _VALID,
-        f"Here is the fix:\n```yaml\n{_VALID}```\nIt restarts nothing.",
-        "Plan:\n```yaml\n- name: p\n  tasks: [unclosed\n```\n",
-        "Plan:\n```yaml\n- name: p\n  hosts: all\n  tasks:\n    - {name: t}\n```\n",
-        "I would restart the orders service.",
-        "name: not-a-playbook\nhosts: all\n",
-        "- name: p\n  hosts: all\n  tasks:\n    - {name: t, register: r}\n",
-        "- name: p\n\thosts: all\n",
-        "",
-    ],
-    ids=[
-        "raw-valid", "fenced-valid", "fenced-malformed", "fenced-no-action", "prose-no-fence",
-        "mapping-root", "task-without-action", "tab-indentation", "empty",
-    ],
-)
+_READ_INPUTS = {
+    "raw-valid": _VALID,
+    "fenced-valid": f"Here is the fix:\n```yaml\n{_VALID}```\nIt restarts nothing.",
+    "fenced-malformed": "Plan:\n```yaml\n- name: p\n  tasks: [unclosed\n```\n",
+    "fenced-no-action": "Plan:\n```yaml\n- name: p\n  hosts: all\n  tasks:\n    - {name: t}\n```\n",
+    "prose-no-fence": "I would restart the orders service.",
+    "mapping-root": "name: not-a-playbook\nhosts: all\n",
+    "task-without-action": "- name: p\n  hosts: all\n  tasks:\n    - {name: t, register: r}\n",
+    "tab-indentation": "- name: p\n\thosts: all\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", list(_READ_INPUTS.values()), ids=list(_READ_INPUTS))
 def test_read_proposal_matches_two_pass_reading(text):
     parsed, struct = read_proposal(text)
     ref_parsed, ref_struct = _read_in_two_passes(text)
     assert parsed == ref_parsed
     assert struct == ref_struct
+
+
+# Texts that PyYAML's loaders reject with something other than YAMLError.
+_UNLOADABLE = {
+    "impossible-date": "- name: p\n  hosts: all\n  tasks:\n    - {name: t, shell: 2020-02-30}\n",
+    "code-point-past-unicode": '- name: "\\U00110000"\n  hosts: all\n  tasks: [{name: t, shell: x}]\n',
+    "nested-2000": "[" * 2000 + "]" * 2000,
+    "lone-surrogate": "- name: p\ud800\n  hosts: all\n  tasks: [{name: t, shell: x}]\n",
+}
+
+_YAML_CLASSES = {
+    "pure": ("SafeLoader", "SafeDumper"),
+    "libyaml": ("CSafeLoader", "CSafeDumper"),
+}
+_needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+
+def _use_classes(monkeypatch, name):
+    loader, dumper = _YAML_CLASSES[name]
+    monkeypatch.setattr(yamlio, "Loader", getattr(yaml, loader))
+    monkeypatch.setattr(yamlio, "Dumper", getattr(yaml, dumper))
+
+
+@pytest.fixture(params=["pure", pytest.param("libyaml", marks=_needs_libyaml)])
+def yaml_classes(request, monkeypatch):
+    """Run the test with one (loader, dumper) pair behind remlab.yamlio."""
+    _use_classes(monkeypatch, request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("text", list(_UNLOADABLE.values()), ids=list(_UNLOADABLE))
+def test_unloadable_proposal_is_a_parse_failure(text, yaml_classes, simple_micro):
+    """Any loader exception reads as a parse failure, and the episode carrying it completes."""
+    assert read_proposal(text)[0] is None
+    with pytest.raises(PlaybookParseError):
+        parse_playbook(text)
+
+    state = cluster.load_topology(simple_micro, seed=5)
+    record = faults.inject(state, FailureSpec(FailureType.CPU_SATURATION, "orders"))
+    report = faults.make_report(record, build_aux(simple_micro))
+    proposal = RemedyProposal(text, "", 1, 1)
+    episode = run_episode(ReplayPolicy([proposal]), state, [record], LoopConfig(t_max=0), report)
+    assert [a.trace for a in episode.attempts] == [None]
+    assert episode.error_tag is None and not episode.success
+
+
+_EDGE_INPUTS = {
+    "bom": "\ufeff" + _VALID,
+    "crlf": _VALID.replace("\n", "\r\n"),
+    "next-line": _VALID.replace("\n", "\x85"),
+    "merge-key": "- &p {name: p, hosts: all}\n- <<: *p\n  tasks: [{name: t, shell: echo hi}]\n",
+    "duplicate-key": "- name: p\n  hosts: all\n  hosts: web\n  tasks: [{name: t, shell: echo hi}]\n",
+    "binary": "- name: !!binary cGxheQ==\n  hosts: all\n  tasks: [{name: t, shell: echo hi}]\n",
+}
+
+
+# nested-2000 is left out: it is a known divergence, pinned below.
+_AGREED = {**_READ_INPUTS, **_UNLOADABLE, **_EDGE_INPUTS}
+del _AGREED["nested-2000"]
+
+
+@pytest.mark.parametrize("text", list(_AGREED.values()), ids=list(_AGREED))
+def test_read_proposal_agrees_across_yaml_classes(text, yaml_classes, monkeypatch):
+    got = read_proposal(text)
+    _use_classes(monkeypatch, "pure")
+    assert got == read_proposal(text)
+
+
+def test_template_renders_agree_across_yaml_classes(yaml_classes):
+    for name in BUNDLED_TOPOLOGIES:
+        topo = bundled_topology(name)
+        library = build_default_library(topo)
+        for ftype in FailureType:
+            for target in faults.candidate_targets(topo, ftype):
+                for action_id in range(len(library)):
+                    doc = [library.play_doc(action_id, ftype, target)]
+                    expected = yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
+                    assert yamlio.dump(doc) == expected, (name, ftype, target, action_id)
+
+
+def test_known_divergences_between_yaml_classes(yaml_classes):
+    """A double-quoted surrogate escape loads only under pure Python; nesting
+    past Python's recursion limit loads only under libyaml."""
+    text = '- name: "\\ud800"\n  hosts: all\n  tasks: [{name: t, shell: x}]\n'
+    parsed, _ = read_proposal(text)
+    deep_struct = read_proposal(_UNLOADABLE["nested-2000"])[1]
+    if yaml_classes == "pure":
+        assert parsed.plays[0].name == "\ud800"
+        assert deep_struct.checks["parsable"] is False
+    else:
+        assert parsed is None
+        assert deep_struct.checks["parsable"] is True
+
+
+def test_size_cap_applies_to_raw_text_and_fenced_block_separately():
+    cap = playbook.MAX_PROPOSAL_CHARS
+    prose = "I looked at the metrics. " * (cap // 20)
+    assert len(prose) > cap
+    parsed, struct = read_proposal(f"{prose}\n```yaml\n{_VALID}```\n{prose}")
+    assert parsed is not None and struct.r_struct == 1.0
+
+    filler = "".join(f"    - {{name: t{i}, shell: echo hi}}\n" for i in range(cap // 30))
+    long_block = _VALID + filler
+    assert len(long_block) > cap
+    assert read_proposal(f"Plan:\n```yaml\n{long_block}```\n")[0] is None
+    with pytest.raises(PlaybookParseError, match="limit"):
+        parse_playbook(long_block)
+
+
+_NO_CRASH_SCRIPT = """
+from concurrent.futures import ThreadPoolExecutor
+
+from remlab.errors import PlaybookParseError
+from remlab.playbook import MAX_PROPOSAL_CHARS as CAP, check_structure, parse_playbook, read_proposal
+
+for text in ("[" * 200_000, "- " * (CAP // 2 + 1)):
+    assert len(text) > CAP
+    assert read_proposal(text)[0] is None
+
+half = CAP // 2
+tail = "\\n  hosts: all\\n  tasks: [{name: t, shell: x}]\\n"
+depth = (CAP - len("- name: ") - len(tail)) // 2
+at_cap = [
+    "[" * CAP,
+    "[" * half + "]" * half,
+    "- " * half,
+    "- name: " + "[" * depth + "]" * depth + tail,
+]
+assert all(len(text) <= CAP for text in at_cap)
+
+
+def read_every_way(text):
+    read_proposal(text)
+    check_structure(text)
+    try:
+        parse_playbook(text)
+    except PlaybookParseError:
+        pass
+
+
+for text in at_cap:
+    read_every_way(text)
+with ThreadPoolExecutor(max_workers=1) as pool:
+    for text in at_cap:
+        pool.submit(read_every_way, text).result()
+"""
+
+
+def test_deep_nesting_never_crashes_the_process():
+    """libyaml recurses in C with no depth check, so the size cap is what keeps it
+    off the stack limit. Run in a child process, so that a segfault fails the
+    test instead of pytest."""
+    src = os.path.dirname(os.path.dirname(playbook.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_CRASH_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
 
 
 # --- structure ----------------------------------------------------------------------

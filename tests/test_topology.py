@@ -87,6 +87,16 @@ def test_bundled_topologies_load(name, expected_services):
         assert link.src in topo.services and link.dst in topo.services
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["name: t\nborn: 2020-02-30\n", "name: t\ud800\n", "[" * 2000 + "]" * 2000, "name: [unclosed\n"],
+    ids=["impossible-date", "lone-surrogate", "nested-2000", "malformed"],
+)
+def test_any_load_failure_is_a_topology_error(text):
+    with pytest.raises(TopologyError):
+        parse_topology(text)
+
+
 def test_bundled_names_are_exactly_three():
     assert BUNDLED_TOPOLOGIES == ("simple-micro", "boutique-like", "ticket-like")
 

@@ -240,6 +240,28 @@ def test_harvest_is_deterministic(env, library):
     assert a == b
 
 
+def test_harvest_builds_each_episode_prefix_once(env, library, monkeypatch):
+    """One prefix per example, and the same examples as classifying on a second prefix."""
+    n = len(env.scenarios)
+    reference = []
+    for scenario in env.scenarios:
+        state_seed = training.state_seed_for(5, scenario.scenario_id)
+        episode, _ = training.rollout(env, ExpertPolicy(library), scenario, state_seed)
+        assert episode.success
+        state, _, report = faults.prepare_episode(
+            env.topology, scenario, state_seed, env.loop_config, env.aux
+        )
+        action = library.expert_action(scenario.faults[0].ftype)
+        reference.append((training._context_class(env, state, report), action))
+
+    calls = []
+    prepare = faults.prepare_episode
+    monkeypatch.setattr(faults, "prepare_episode", lambda *a: calls.append(a) or prepare(*a))
+    data = harvest_expert(env, ExpertPolicy(library), n=n, seed=5)
+    assert len(calls) == len(data) == n
+    assert [(e.context_class, e.action) for e in data] == reference
+
+
 def test_harvest_noop_teacher_raises(env):
     with pytest.raises(EmptyDatasetError):
         harvest_expert(env, NoopPolicy(), n=5, seed=5)
