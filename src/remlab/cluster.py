@@ -26,8 +26,29 @@ Fault semantics that matter for remediation:
 * removing link shaping clears the link metric immediately (deleting a
   traffic-shaping rule is instantaneous, unlike a draining stress process).
 * a config value differing from the declared topology value drives the
-  owning service's pods to CrashLoop on the next step; correcting the
-  value plus a restart restores them.
+  owning service's pods to CrashLoop on every step while it differs;
+  correcting the value plus a restart restores them.
+
+Storage
+-------
+Metrics live in arrays, one row per pod or link, in the order of
+``ClusterState.pods`` and ``ClusterState.links``:
+
+* ``pod_metrics``: float64, shape (P, 3), columns cpu_pct, mem_pct,
+  io_await_ms;
+* ``pod_phase``: int8, shape (P,), an index into ``PHASES``;
+* ``link_metrics``: float64, shape (L, 2), columns added_delay_ms, loss_pct.
+
+``PodState`` and ``NetworkLink`` hold identity (ids, service, restart count)
+and read or write their own row through properties; no metric is stored
+twice. Values leave the arrays as Python floats, so probe text and digests
+print them exactly as floats.
+
+Each ``step`` draws its noise in one call, ``rng.normal(0, NOISE_SIGMA,
+3P + 2L)``: the first 3P values go to the pods in row order (cpu, mem, io of
+pod 0, then of pod 1, ...), the last 2L to the links (delay, loss of link 0,
+...). Digests depend on this order. It is the stream that one ``size=3``
+draw per pod followed by one ``size=2`` draw per link would give.
 """
 
 from __future__ import annotations
@@ -35,8 +56,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Union
 
 import numpy as np
@@ -48,6 +71,9 @@ RELAX_TAU_MS = 5000.0
 NOISE_SIGMA = 2.0
 # Metric considered recovered when within baseline +/- RECOVERY_BAND.
 RECOVERY_BAND = 3.0 * NOISE_SIGMA
+# A service scales to at most this many times its declared replicas. Scale
+# commands come from untrusted playbooks, and each replica is a pod to allocate.
+MAX_SCALE_FACTOR = 8
 
 
 class PodPhase(str, Enum):
@@ -74,11 +100,20 @@ LINK_KINDS = frozenset({PerturbationKind.NET_DELAY, PerturbationKind.NET_LOSS})
 # Faults that live inside a pod and therefore die with it on restart.
 IN_POD_KINDS = STRESS_KINDS | {PerturbationKind.POD_KILL}
 
-_STRESS_METRIC = {
-    PerturbationKind.CPU_STRESS: "cpu_pct",
-    PerturbationKind.MEM_STRESS: "mem_pct",
-    PerturbationKind.IO_STRESS: "io_await_ms",
+PHASES = tuple(PodPhase)  # pod_phase holds indices into this
+_PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
+_RUNNING = _PHASE_CODE[PodPhase.RUNNING]
+_CRASH_LOOP = _PHASE_CODE[PodPhase.CRASH_LOOP]
+
+_STRESS_COLUMN = {
+    PerturbationKind.CPU_STRESS: 0,
+    PerturbationKind.MEM_STRESS: 1,
+    PerturbationKind.IO_STRESS: 2,
 }
+_LINK_COLUMN = {PerturbationKind.NET_DELAY: 0, PerturbationKind.NET_LOSS: 1}
+# Upper clamps per column: percentages stop at 100, times are unbounded.
+_POD_CEILING = np.array([100.0, 100.0, np.inf])
+_LINK_CEILING = np.array([np.inf, 100.0])
 
 
 def link_key(src: str, dst: str) -> str:
@@ -92,28 +127,77 @@ def split_link_key(target: str) -> tuple[str, str]:
     return src, dst
 
 
-@dataclass
+class _Cell:
+    """Attribute that reads and writes one column of its owner's row in a cluster array."""
+
+    def __init__(self, array: str, column: int):
+        self.array = array
+        self.column = column
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return getattr(obj._state(), self.array).item(obj._row, self.column)
+
+    def __set__(self, obj, value: float) -> None:
+        getattr(obj._state(), self.array)[obj._row, self.column] = value
+
+
 class PodState:
-    pod_id: str
-    service: str
-    phase: PodPhase
-    cpu_pct: float
-    mem_pct: float
-    io_await_ms: float
-    restarts: int = 0
+    """One pod. Its metrics and phase are row ``_row`` of its cluster's arrays.
+
+    The cluster is held by a weak reference, so a finished episode's state
+    is freed as soon as it is dropped rather than at the next cyclic garbage
+    collection. A pod scaled away leaves the cluster and no longer has metrics.
+    """
+
+    __slots__ = ("pod_id", "service", "restarts", "_state", "_row")
+
+    cpu_pct = _Cell("pod_metrics", 0)
+    mem_pct = _Cell("pod_metrics", 1)
+    io_await_ms = _Cell("pod_metrics", 2)
+
+    def __init__(self, state: ClusterState, row: int, pod_id: str, service: str):
+        self.pod_id = pod_id
+        self.service = service
+        self.restarts = 0
+        self._state = weakref.ref(state)
+        self._row = row
+
+    @property
+    def phase(self) -> PodPhase:
+        return PHASES[self._state().pod_phase.item(self._row)]
+
+    @phase.setter
+    def phase(self, value: PodPhase) -> None:
+        self._state().pod_phase[self._row] = _PHASE_CODE[value]
+
+    def __repr__(self) -> str:
+        return f"PodState({self.pod_id!r})"
 
 
-@dataclass
 class NetworkLink:
-    src: str
-    dst: str
-    base_latency_ms: float
-    added_delay_ms: float = 0.0
-    loss_pct: float = 0.0
+    """One directed link. Its metrics are row ``_row`` of its cluster's link_metrics,
+    which it holds by a weak reference, like ``PodState``."""
+
+    __slots__ = ("src", "dst", "base_latency_ms", "_state", "_row")
+
+    added_delay_ms = _Cell("link_metrics", 0)
+    loss_pct = _Cell("link_metrics", 1)
+
+    def __init__(self, state: ClusterState, row: int, src: str, dst: str, base_latency_ms: float):
+        self.src = src
+        self.dst = dst
+        self.base_latency_ms = base_latency_ms
+        self._state = weakref.ref(state)
+        self._row = row
 
     @property
     def key(self) -> str:
         return link_key(self.src, self.dst)
+
+    def __repr__(self) -> str:
+        return f"NetworkLink({self.key!r})"
 
 
 @dataclass
@@ -257,21 +341,40 @@ class ActionOutcome:
     stdout: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusterState:
-    """Full simulated world for one episode. Mutated single-threaded."""
+    """Full simulated world for one episode. Mutated single-threaded.
+
+    Built by ``load_topology``. The arrays are described in the module
+    docstring; ``config_store`` is read-only, and ``set_config`` writes it.
+    """
 
     topology: Topology
     seed: int
     clock_ms: int = 0
     pods: list[PodState] = field(default_factory=list)
     links: list[NetworkLink] = field(default_factory=list)
-    config_store: dict[tuple[str, str], str] = field(default_factory=dict)
+    pod_metrics: np.ndarray = field(default_factory=lambda: np.empty((0, 3)), repr=False)
+    pod_phase: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8), repr=False)
+    link_metrics: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), repr=False)
+    config_store: Mapping[tuple[str, str], str] = field(init=False)
     perturbations: list[Perturbation] = field(default_factory=list)
     process_table: dict[str, StressProcess] = field(default_factory=dict)
     _rng: np.random.Generator = field(default=None, repr=False)
     _pod_seq: dict[str, int] = field(default_factory=dict, repr=False)
     _handle_seq: int = field(default=0, repr=False)
+    _config: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
+    # Per service, in topology order: its index and its baseline row.
+    _service_index: dict[str, int] = field(default_factory=dict, repr=False)
+    _service_baseline: np.ndarray = field(default=None, repr=False)
+    # Indices of the services with a config value that differs from the declared one.
+    _corrupt: set[int] = field(default_factory=set, repr=False)
+    # Per pod row: the index of its service.
+    _pod_service: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp), repr=False)
+    _link_row: dict[str, int] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.config_store = MappingProxyType(self._config)
 
     @property
     def lineage(self) -> str:
@@ -281,10 +384,8 @@ class ClusterState:
         return [p for p in self.pods if p.service == service]
 
     def find_link(self, src: str, dst: str) -> NetworkLink | None:
-        for link in self.links:
-            if link.src == src and link.dst == dst:
-                return link
-        return None
+        row = self._link_row.get(link_key(src, dst))
+        return None if row is None else self.links[row]
 
     def active(self, kind: PerturbationKind, target: str) -> list[Perturbation]:
         return [p for p in self.perturbations if p.kind == kind and p.target == target]
@@ -298,33 +399,66 @@ def load_topology(doc: Topology | str | Mapping, seed: int = 0) -> ClusterState:
     (document, seed).
     """
     topology = doc if isinstance(doc, Topology) else parse_topology(doc)
+    specs = list(topology.services.values())
     state = ClusterState(topology=topology, seed=seed)
     state._rng = np.random.default_rng(seed)
-    for spec in topology.services.values():
+    state._service_index = {spec.name: i for i, spec in enumerate(specs)}
+    state._service_baseline = np.array(
+        [x for s in specs for x in (s.baseline.cpu_pct, s.baseline.mem_pct, s.baseline.io_await_ms)]
+    ).reshape(-1, 3)
+    for spec in specs:
         state._pod_seq[spec.name] = 0
-        for _ in range(spec.desired_replicas):
-            state.pods.append(_fresh_pod(state, spec.name))
         for key, value in spec.config.items():
-            state.config_store[(spec.name, key)] = value
-    for link in topology.links:
-        state.links.append(
-            NetworkLink(src=link.src, dst=link.dst, base_latency_ms=link.base_latency_ms)
-        )
+            state._config[(spec.name, key)] = value
+    _append_pods(state, [spec.name for spec in specs for _ in range(spec.desired_replicas)])
+    for row, link in enumerate(topology.links):
+        state.links.append(NetworkLink(state, row, link.src, link.dst, link.base_latency_ms))
+        state._link_row[link_key(link.src, link.dst)] = row
+    state.link_metrics = np.zeros((len(state.links), 2))
     return state
 
 
-def _fresh_pod(state: ClusterState, service: str) -> PodState:
-    spec = state.topology.service(service)
-    idx = state._pod_seq[service]
-    state._pod_seq[service] = idx + 1
-    return PodState(
-        pod_id=f"{service}-{idx}",
-        service=service,
-        phase=PodPhase.RUNNING,
-        cpu_pct=spec.baseline.cpu_pct,
-        mem_pct=spec.baseline.mem_pct,
-        io_await_ms=spec.baseline.io_await_ms,
+def _append_pods(state: ClusterState, services: list[str]) -> None:
+    """Add one Running pod at its service's baseline per entry of ``services``."""
+    new_service = np.array([state._service_index[s] for s in services], dtype=np.intp)
+    for service in services:
+        idx = state._pod_seq[service]
+        state._pod_seq[service] = idx + 1
+        state.pods.append(PodState(state, len(state.pods), f"{service}-{idx}", service))
+    state.pod_metrics = np.concatenate((state.pod_metrics, state._service_baseline[new_service]))
+    state.pod_phase = np.concatenate(
+        (state.pod_phase, np.full(len(services), _RUNNING, dtype=np.int8))
     )
+    state._pod_service = np.concatenate((state._pod_service, new_service))
+
+
+def _drop_pods(state: ClusterState, doomed: list[PodState]) -> None:
+    """Remove ``doomed`` from the pod list and every pod array; later rows move up."""
+    keep = np.ones(len(state.pods), dtype=bool)
+    keep[[pod._row for pod in doomed]] = False
+    state.pods[:] = [pod for pod in state.pods if keep[pod._row]]
+    for row, pod in enumerate(state.pods):
+        pod._row = row
+    for pod in doomed:
+        pod._state = None
+    state.pod_metrics = state.pod_metrics[keep]
+    state.pod_phase = state.pod_phase[keep]
+    state._pod_service = state._pod_service[keep]
+
+
+def set_config(state: ClusterState, service: str, key: str, value: str) -> str:
+    """Write one declared config value, returning the value it replaces."""
+    old = state._config[(service, key)]
+    state._config[(service, key)] = value
+    index = state._service_index[service]
+    if any(
+        state._config[(service, k)] != declared
+        for k, declared in state.topology.service(service).config.items()
+    ):
+        state._corrupt.add(index)
+    else:
+        state._corrupt.discard(index)
+    return old
 
 
 def new_handle(state: ClusterState, kind: PerturbationKind, target: str) -> str:
@@ -387,68 +521,38 @@ def step(state: ClusterState, dt_ms: int) -> ClusterState:
         raise InvalidArgumentError("dt_ms must be > 0")
     state.clock_ms += dt_ms
     alpha = 1.0 - math.exp(-dt_ms / RELAX_TAU_MS)
-    rng = state._rng
+    pods, links = state.pod_metrics, state.link_metrics
+    # One draw for the whole population, so the stream depends only on the
+    # pod/link population, never on which perturbations are active.
+    noise = state._rng.normal(0.0, NOISE_SIGMA, size=pods.size + links.size)
 
-    stress_setpoints: dict[tuple[str, str], float] = {}
+    running = state.pod_phase == _RUNNING
+    pod_target = state._service_baseline[state._pod_service]
+    link_target = np.zeros(links.shape)
+    # Later perturbations of the same kind and target override earlier ones.
     for pert in state.perturbations:
-        if pert.kind in STRESS_KINDS:
-            stress_setpoints[(pert.target, _STRESS_METRIC[pert.kind])] = pert.magnitude
+        column = _STRESS_COLUMN.get(pert.kind)
+        if column is not None:
+            service = state._service_index.get(pert.target, -1)
+            pod_target[:, column][state._pod_service == service] = pert.magnitude
+            continue
+        column = _LINK_COLUMN.get(pert.kind)
+        row = state._link_row.get(pert.target)
+        if column is not None and row is not None:
+            link_target[row, column] = pert.magnitude
+    # A pod that is not running consumes nothing.
+    pod_target = np.where(running[:, None], pod_target, 0.0)
 
-    for pod in state.pods:
-        spec = state.topology.service(pod.service)
-        if pod.phase == PodPhase.RUNNING:
-            targets = {
-                "cpu_pct": spec.baseline.cpu_pct,
-                "mem_pct": spec.baseline.mem_pct,
-                "io_await_ms": spec.baseline.io_await_ms,
-            }
-            for metric in targets:
-                override = stress_setpoints.get((pod.service, metric))
-                if override is not None:
-                    targets[metric] = override
-        else:
-            # A pod that is not running consumes nothing.
-            targets = {"cpu_pct": 0.0, "mem_pct": 0.0, "io_await_ms": 0.0}
-        # Noise draws are unconditional so the stream depends only on the
-        # pod/link population, never on which perturbations are active.
-        noise = rng.normal(0.0, NOISE_SIGMA, size=3)
-        pod.cpu_pct = _clamp(pod.cpu_pct + alpha * (targets["cpu_pct"] + noise[0] - pod.cpu_pct), 0.0, 100.0)
-        pod.mem_pct = _clamp(pod.mem_pct + alpha * (targets["mem_pct"] + noise[1] - pod.mem_pct), 0.0, 100.0)
-        pod.io_await_ms = float(max(0.0, pod.io_await_ms + alpha * (targets["io_await_ms"] + noise[2] - pod.io_await_ms)))
+    pods += alpha * (pod_target + noise[: pods.size].reshape(pods.shape) - pods)
+    np.maximum(pods, 0.0, out=pods)
+    np.minimum(pods, _POD_CEILING, out=pods)
+    links += alpha * (link_target + noise[pods.size :].reshape(links.shape) - links)
+    np.maximum(links, 0.0, out=links)
+    np.minimum(links, _LINK_CEILING, out=links)
 
-    delay_setpoints: dict[str, float] = {}
-    loss_setpoints: dict[str, float] = {}
-    for pert in state.perturbations:
-        if pert.kind == PerturbationKind.NET_DELAY:
-            delay_setpoints[pert.target] = pert.magnitude
-        elif pert.kind == PerturbationKind.NET_LOSS:
-            loss_setpoints[pert.target] = pert.magnitude
-
-    for link in state.links:
-        noise = rng.normal(0.0, NOISE_SIGMA, size=2)
-        delay_target = delay_setpoints.get(link.key, 0.0)
-        loss_target = loss_setpoints.get(link.key, 0.0)
-        link.added_delay_ms = float(max(0.0, link.added_delay_ms + alpha * (delay_target + noise[0] - link.added_delay_ms)))
-        link.loss_pct = _clamp(link.loss_pct + alpha * (loss_target + noise[1] - link.loss_pct), 0.0, 100.0)
-
-    _propagate_config_corruption(state)
+    for service in state._corrupt:
+        state.pod_phase[running & (state._pod_service == service)] = _CRASH_LOOP
     return state
-
-
-def _propagate_config_corruption(state: ClusterState) -> None:
-    for spec in state.topology.services.values():
-        corrupted = any(
-            state.config_store.get((spec.name, key)) != value
-            for key, value in spec.config.items()
-        )
-        if corrupted:
-            for pod in state.pods:
-                if pod.service == spec.name and pod.phase == PodPhase.RUNNING:
-                    pod.phase = PodPhase.CRASH_LOOP
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return float(min(hi, max(lo, value)))
 
 
 # --- observe ------------------------------------------------------------------
@@ -564,14 +668,17 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
             raise NotFoundError(f"unknown service {action.service!r}")
         if action.replicas < 0:
             raise InvalidArgumentError("replicas must be >= 0")
+        cap = MAX_SCALE_FACTOR * state.topology.service(action.service).desired_replicas
+        if action.replicas > cap:
+            raise InvalidArgumentError(
+                f"service {action.service} scales to at most {cap} replicas"
+            )
         current = state.service_pods(action.service)
         delta = action.replicas - len(current)
         if delta > 0:
-            for _ in range(delta):
-                state.pods.append(_fresh_pod(state, action.service))
+            _append_pods(state, [action.service] * delta)
         elif delta < 0:
-            for pod in current[delta:]:
-                state.pods.remove(pod)
+            _drop_pods(state, current[delta:])
         return state, ActionOutcome(
             changed=delta != 0,
             stdout=f"service {action.service} scaled to {action.replicas} replicas",
@@ -585,8 +692,7 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
             raise NotFoundError(
                 f"unknown config key {action.key!r} for service {action.service!r}"
             )
-        old = state.config_store[(action.service, action.key)]
-        state.config_store[(action.service, action.key)] = action.value
+        old = set_config(state, action.service, action.key, action.value)
         return state, ActionOutcome(
             changed=old != action.value,
             stdout=f"config {action.service}/{action.key} set",
@@ -658,17 +764,17 @@ def state_doc(
             [
                 p.pod_id,
                 p.service,
-                p.phase.value,
-                p.cpu_pct,
-                p.mem_pct,
-                p.io_await_ms,
+                PHASES[code].value,
+                *metrics,
                 None if ignore_restarts else p.restarts,
             ]
-            for p in state.pods
+            for p, code, metrics in zip(
+                state.pods, state.pod_phase.tolist(), state.pod_metrics.tolist()
+            )
         ],
         "links": [
-            [l.src, l.dst, l.base_latency_ms, l.added_delay_ms, l.loss_pct]
-            for l in state.links
+            [l.src, l.dst, l.base_latency_ms, *metrics]
+            for l, metrics in zip(state.links, state.link_metrics.tolist())
         ],
         "config": sorted(
             [svc, key, value] for (svc, key), value in state.config_store.items()

@@ -238,8 +238,7 @@ def inject(state: ClusterState, spec: FailureSpec) -> FailureRecord:
         if not keys:
             raise InjectionError(f"service {spec.target!r} declares no config keys")
         key = keys[int(magnitude) % len(keys)]
-        original = state.config_store[(spec.target, key)]
-        state.config_store[(spec.target, key)] = CORRUPT_VALUE
+        original = cluster.set_config(state, spec.target, key, CORRUPT_VALUE)
         return FailureRecord(
             spec=spec,
             injected_at=state.clock_ms,
@@ -448,7 +447,7 @@ def restore(state: ClusterState, record: FailureRecord) -> ClusterState:
         state.process_table.pop(handle, None)
 
     for key, original in record.original_values.items():
-        state.config_store[(spec.target, key)] = original
+        cluster.set_config(state, spec.target, key, original)
 
     if spec.ftype in NETWORK_TYPES:
         src, dst = split_link_key(spec.target)

@@ -212,8 +212,10 @@ def run_episode(
     for t in range(config.t_max + 1):
         try:
             attempt = _run_attempt(policy, state, records, config, inp, constraints, t)
-        except TransportError as exc:
-            episode.error_tag = "transport-error"
+        except (TransportError, _PolicyError) as exc:
+            episode.error_tag = (
+                "transport-error" if isinstance(exc, TransportError) else "policy-error"
+            )
             episode.attempts.append(
                 Attempt(
                     index=t,
@@ -268,11 +270,10 @@ def _run_attempt(
     # The policy gets a bounded number of chances to produce a proposal;
     # once the probe budget is spent, further probe requests are refused.
     for _ in range(budget + 2):
-        output = policy.decide(inp)
+        output = _decide(policy, inp)
         if isinstance(output, RemedyProposal):
             proposal = output
             break
-        assert isinstance(output, ProbeRequest)
         remaining = budget - probes_used
         if remaining <= 0:
             if refused:
@@ -335,6 +336,24 @@ def _run_attempt(
         tokens_in=proposal.tokens_in,
         tokens_out=proposal.tokens_out,
     )
+
+
+class _PolicyError(Exception):
+    """The policy raised, or returned something other than a policy output."""
+
+
+def _decide(policy: Policy, inp: PolicyInput) -> ProbeRequest | RemedyProposal:
+    """Ask the policy for its next output. The policy is untrusted code: any
+    failure other than a TransportError becomes a _PolicyError."""
+    try:
+        output = policy.decide(inp)
+    except TransportError:
+        raise
+    except Exception as exc:
+        raise _PolicyError(f"policy raised {type(exc).__name__}: {exc}") from exc
+    if not isinstance(output, (ProbeRequest, RemedyProposal)):
+        raise _PolicyError(f"policy returned {type(output).__name__}, not a policy output")
+    return output
 
 
 def _neighborhood_scope(state: ClusterState, report: FailureReport) -> tuple[str, ...]:

@@ -225,9 +225,10 @@ def check_structure(text: str) -> StructReport:
 def _structure_from_doc(raw: object) -> StructReport:
     checks = dict.fromkeys(STRUCT_CHECKS, False)
     checks["parsable"] = isinstance(raw, list) and len(raw) > 0
-    if checks["parsable"]:
-        plays = [p for p in raw if isinstance(p, Mapping)]
-        checks["has_play"] = len(plays) > 0 and len(plays) == len(raw)
+    plays = [p for p in raw if isinstance(p, Mapping)] if checks["parsable"] else []
+    # The per-play checks hold over zero plays only vacuously, so they need one.
+    if plays:
+        checks["has_play"] = len(plays) == len(raw)
         checks["hosts_present"] = all(bool(p.get("hosts")) for p in plays)
         task_lists = [p.get("tasks") for p in plays]
         checks["tasks_nonempty"] = all(
@@ -418,6 +419,7 @@ class CommandIntent:
     reader: Callable[[ClusterState], str] | None = None
     pkill_pattern: str | None = None
     pkill_scope: str | None = None
+    error: str | None = None  # a recognized command that cannot run: the task fails
 
 
 @dataclass(frozen=True)
@@ -428,7 +430,16 @@ class CommandRule:
 
 
 def _scale_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    svc, n = m.group(1), int(m.group(2))
+    svc, digits = m.group(1), m.group(2)
+    try:
+        n = int(digits)
+    except ValueError:  # more digits than int() converts
+        return CommandIntent(
+            action=None,
+            writes=True,
+            scope_services=(svc,),
+            error=f"replica count has {len(digits)} digits, too many to read",
+        )
     return CommandIntent(
         action=cluster.ScaleService(service=svc, replicas=n),
         writes=True,
@@ -686,6 +697,9 @@ def execute(pb: Playbook, state: ClusterState) -> ExecutionTrace:
             if intent is None:
                 result.status = TaskStatus.UNRECOGNIZED
                 result.stdout = f"unrecognized command: {task.command}"
+            elif intent.error is not None:
+                result.status = TaskStatus.FAILED
+                result.stdout = intent.error
             elif intent.pkill_pattern is not None:
                 result.status, result.stdout = _run_pkill(state, intent)
             elif intent.reader is not None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from remlab import cluster, faults
+from remlab.bench import RunManifest, run_suite
 from remlab.cluster import PerturbationKind
 from remlab.errors import InvalidArgumentError, TransportError
 from remlab.faults import FailureSpec, FailureType, build_aux
@@ -98,6 +99,41 @@ def test_transport_error_tags_episode(simple_micro):
     episode = run_episode(ExplodingPolicy(), state, records, LoopConfig(), report, "s5")
     assert episode.success is False
     assert episode.error_tag == "transport-error"
+
+
+class _ReturnsNone(Policy):
+    policy_id = "returns-none"
+
+    def decide(self, inp):
+        return None
+
+
+class _Raises(Policy):
+    policy_id = "raises"
+
+    def decide(self, inp):
+        raise RuntimeError("policy bug")
+
+
+def test_policy_errors_end_only_their_own_episode(simple_micro, library):
+    """A wrong-type output or an exception from decide() tags that episode; the suite goes on."""
+    scenarios = faults.gen_suite(simple_micro, "easy", seed=1)[:6]
+    manifest = RunManifest(topology="simple-micro", difficulty="easy", seed=1, policy_id="mixed")
+    bad = {1: _ReturnsNone, 4: _Raises}
+
+    def policy_for(i, scenario):
+        return bad[i]() if i in bad else ExpertPolicy(library)
+
+    result = run_suite(policy_for, simple_micro, scenarios, manifest)
+    assert len(result.episodes) == len(scenarios)
+    for i, episode in enumerate(result.episodes):
+        if i in bad:
+            assert episode.error_tag == "policy-error" and not episode.success
+            assert len(episode.attempts) == 1
+        else:
+            assert episode.error_tag is None and episode.success
+    assert "NoneType" in result.episodes[1].attempts[0].error
+    assert "RuntimeError: policy bug" in result.episodes[4].attempts[0].error
 
 
 def test_budget_law_over_randomized_episodes(simple_micro, library):

@@ -303,7 +303,7 @@ def test_known_divergences_between_yaml_classes(yaml_classes):
         assert deep_struct.checks["parsable"] is False
     else:
         assert parsed is None
-        assert deep_struct.checks["parsable"] is True
+        assert deep_struct.r_struct == pytest.approx(1 / 7)
 
 
 def test_size_cap_applies_to_raw_text_and_fenced_block_separately():
@@ -395,6 +395,14 @@ def test_structure_missing_hosts_fails_exactly_one_check():
     failed = [name for name, ok in report.checks.items() if not ok]
     assert failed == ["hosts_present"]
     assert report.r_struct == pytest.approx(6 / 7)
+
+
+@pytest.mark.parametrize("text", ["[[1]]", "[1, 2]", "- - 1\n"])
+def test_structure_without_a_play_passes_only_parsable(text):
+    """The per-play checks need at least one play; over zero plays they fail."""
+    report = check_structure(text)
+    assert [name for name, ok in report.checks.items() if ok] == ["parsable"]
+    assert report.r_struct == pytest.approx(1 / 7)
 
 
 def test_structure_when_over_unknown_register():
@@ -553,6 +561,44 @@ def test_unrecognized_command_leaves_state_unchanged(state):
     trace = execute(_pb("frobnicate --all"), state)
     assert trace.results[0].status == TaskStatus.UNRECOGNIZED
     assert cluster.digest(state) == before
+
+
+def _scale_orders(count):
+    return f"- name: p\n  hosts: orders\n  tasks:\n    - {{name: s, shell: kubectl scale deploy orders --replicas={count}}}\n"
+
+
+@pytest.mark.parametrize("case", ["5000-nines", "cap-plus-one"])
+def test_scale_past_the_cap_fails_without_allocating(case, simple_micro):
+    """A count past the cap, or too long for int(), is a failed task at every stage."""
+    cap = cluster.MAX_SCALE_FACTOR * simple_micro.service("orders").desired_replicas
+    count = "9" * 5000 if case == "5000-nines" else str(cap + 1)
+    text = _scale_orders(count)
+    assert len(text) <= playbook.MAX_PROPOSAL_CHARS
+    parsed, struct = read_proposal(text)
+    assert parsed is not None and struct.r_struct == 1.0
+    assert not check_safety(parsed, _constraints(simple_micro, scope=("orders",))).unsafe
+
+    state = cluster.load_topology(simple_micro, seed=5)
+    before = cluster.digest(state)
+    trace = execute(parsed, state)
+    assert trace.results[0].status == TaskStatus.FAILED
+    assert cluster.digest(state) == before
+
+    record = faults.inject(state, FailureSpec(FailureType.CPU_SATURATION, "orders"))
+    report = faults.make_report(record, build_aux(simple_micro))
+    proposal = RemedyProposal(text, "", 1, 1)
+    episode = run_episode(ReplayPolicy([proposal]), state, [record], LoopConfig(t_max=0), report)
+    assert episode.error_tag is None and len(episode.attempts) == 1
+    assert episode.attempts[0].trace.results[0].status == TaskStatus.FAILED
+    assert len(state.service_pods("orders")) == simple_micro.service("orders").desired_replicas
+
+
+def test_scale_up_to_the_cap_runs(simple_micro):
+    cap = cluster.MAX_SCALE_FACTOR * simple_micro.service("orders").desired_replicas
+    state = cluster.load_topology(simple_micro, seed=5)
+    trace = execute(parse_playbook(_scale_orders(cap)), state)
+    assert trace.results[0].status == TaskStatus.CHANGED
+    assert len(state.service_pods("orders")) == cap
 
 
 def test_all_when_false_preserves_digest(state):
