@@ -229,8 +229,6 @@ def _train(args: argparse.Namespace) -> int:
     sft_data = None
     pairs = None
     if args.stage == "sft":
-        from remlab.policies import ExpertPolicy
-
         sft_data = training.harvest_expert(
             env, ExpertPolicy(library), n=len(scenarios), seed=args.seed
         )
@@ -238,7 +236,7 @@ def _train(args: argparse.Namespace) -> int:
             fh.write(training.sft_examples_to_jsonl(sft_data))
     elif args.stage == "real_rft" and init is not None:
         pairs = training.mine_preference_pairs(
-            env, init, n_rollouts=max(4 * len(scenarios), 64), seed=args.seed
+            env, init, n_rollouts=training.mining_rollouts(env), seed=args.seed
         )
         with open(os.path.join(args.out_dir, "pref_pairs.jsonl"), "w", encoding="utf-8") as fh:
             fh.write(training.pref_pairs_to_jsonl(pairs))

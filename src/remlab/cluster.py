@@ -11,7 +11,8 @@ Metric dynamics
 Every pod metric (cpu_pct, mem_pct, io_await_ms) and link metric
 (added_delay_ms, loss_pct) relaxes toward a setpoint with time constant
 ``RELAX_TAU_MS``. The setpoint is the declared baseline unless a matching
-perturbation is active, in which case it is the perturbation magnitude.
+perturbation is active, in which case it is the perturbation magnitude
+(``METRIC_OF`` names the one metric each perturbation kind drives).
 Each step relaxes toward the setpoint plus seeded Gaussian jitter
 (sigma = ``NOISE_SIGMA``), so the stationary spread stays well inside the
 +/- 3 sigma recovery band used by verification::
@@ -93,24 +94,11 @@ class PerturbationKind(str, Enum):
     CONFIG_CORRUPT = "config_corrupt"
 
 
-STRESS_KINDS = frozenset(
-    {PerturbationKind.CPU_STRESS, PerturbationKind.MEM_STRESS, PerturbationKind.IO_STRESS}
-)
-LINK_KINDS = frozenset({PerturbationKind.NET_DELAY, PerturbationKind.NET_LOSS})
-# Faults that live inside a pod and therefore die with it on restart.
-IN_POD_KINDS = STRESS_KINDS | {PerturbationKind.POD_KILL}
-
 PHASES = tuple(PodPhase)  # pod_phase holds indices into this
 _PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
 _RUNNING = _PHASE_CODE[PodPhase.RUNNING]
 _CRASH_LOOP = _PHASE_CODE[PodPhase.CRASH_LOOP]
 
-_STRESS_COLUMN = {
-    PerturbationKind.CPU_STRESS: 0,
-    PerturbationKind.MEM_STRESS: 1,
-    PerturbationKind.IO_STRESS: 2,
-}
-_LINK_COLUMN = {PerturbationKind.NET_DELAY: 0, PerturbationKind.NET_LOSS: 1}
 # Upper clamps per column: percentages stop at 100, times are unbounded.
 _POD_CEILING = np.array([100.0, 100.0, np.inf])
 _LINK_CEILING = np.array([np.inf, 100.0])
@@ -127,12 +115,20 @@ def split_link_key(target: str) -> tuple[str, str]:
     return src, dst
 
 
+def target_services(target: str) -> tuple[str, ...]:
+    """The services a fault target names: (src, dst) of a link "src->dst", else (target,)."""
+    return split_link_key(target) if "->" in target else (target,)
+
+
 class _Cell:
     """Attribute that reads and writes one column of its owner's row in a cluster array."""
 
     def __init__(self, array: str, column: int):
         self.array = array
         self.column = column
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -200,6 +196,20 @@ class NetworkLink:
         return f"NetworkLink({self.key!r})"
 
 
+# The metric each perturbation kind drives; pod_kill and config_corrupt drive none.
+METRIC_OF: dict[PerturbationKind, _Cell] = {
+    PerturbationKind.CPU_STRESS: PodState.cpu_pct,
+    PerturbationKind.MEM_STRESS: PodState.mem_pct,
+    PerturbationKind.IO_STRESS: PodState.io_await_ms,
+    PerturbationKind.NET_DELAY: NetworkLink.added_delay_ms,
+    PerturbationKind.NET_LOSS: NetworkLink.loss_pct,
+}
+STRESS_KINDS = frozenset(k for k, cell in METRIC_OF.items() if cell.array == "pod_metrics")
+LINK_KINDS = frozenset(k for k, cell in METRIC_OF.items() if cell.array == "link_metrics")
+# Faults that live inside a pod and therefore die with it on restart.
+IN_POD_KINDS = STRESS_KINDS | {PerturbationKind.POD_KILL}
+
+
 @dataclass
 class Perturbation:
     handle: str
@@ -216,7 +226,6 @@ class StressProcess:
     handle: str
     kind: PerturbationKind
     service: str
-    started_ms: int
 
 
 class ProbeKind(str, Enum):
@@ -483,9 +492,7 @@ def add_perturbation(
     )
     state.perturbations.append(pert)
     if kind in STRESS_KINDS:
-        state.process_table[pert.handle] = StressProcess(
-            handle=pert.handle, kind=kind, service=target, started_ms=state.clock_ms
-        )
+        state.process_table[pert.handle] = StressProcess(pert.handle, kind, target)
     return pert
 
 
@@ -497,19 +504,23 @@ def _remove_perturbations(state: ClusterState, perts: list[Perturbation]) -> int
             state.process_table.pop(pert.handle, None)
             removed += 1
             if pert.kind in LINK_KINDS:
-                _snap_link_metric(state, pert)
+                snap_link_metric(state, pert.kind, pert.target)
     return removed
 
 
-def _snap_link_metric(state: ClusterState, pert: Perturbation) -> None:
-    src, dst = split_link_key(pert.target)
-    link = state.find_link(src, dst)
-    if link is None:
-        return
-    if pert.kind == PerturbationKind.NET_DELAY:
-        link.added_delay_ms = 0.0
-    elif pert.kind == PerturbationKind.NET_LOSS:
-        link.loss_pct = 0.0
+def snap_link_metric(state: ClusterState, kind: PerturbationKind, target: str) -> None:
+    """Zero the metric a link kind drives on link ``target``, if that link exists."""
+    link = state.find_link(*split_link_key(target))
+    if link is not None:
+        setattr(link, METRIC_OF[kind].name, 0.0)
+
+
+def reset_pods(state: ClusterState, pods: list[PodState]) -> None:
+    """Set ``pods`` Running with their service's baseline metrics. Restart counts stay."""
+    for pod in pods:
+        row = pod._row
+        state.pod_phase[row] = _RUNNING
+        state.pod_metrics[row] = state._service_baseline[state._pod_service[row]]
 
 
 # --- step ---------------------------------------------------------------------
@@ -531,15 +542,14 @@ def step(state: ClusterState, dt_ms: int) -> ClusterState:
     link_target = np.zeros(links.shape)
     # Later perturbations of the same kind and target override earlier ones.
     for pert in state.perturbations:
-        column = _STRESS_COLUMN.get(pert.kind)
-        if column is not None:
-            service = state._service_index.get(pert.target, -1)
-            pod_target[:, column][state._pod_service == service] = pert.magnitude
+        cell = METRIC_OF.get(pert.kind)
+        if cell is None:
             continue
-        column = _LINK_COLUMN.get(pert.kind)
-        row = state._link_row.get(pert.target)
-        if column is not None and row is not None:
-            link_target[row, column] = pert.magnitude
+        if cell.array == "pod_metrics":
+            service = state._service_index.get(pert.target, -1)
+            pod_target[:, cell.column][state._pod_service == service] = pert.magnitude
+        elif (row := state._link_row.get(pert.target)) is not None:
+            link_target[row, cell.column] = pert.magnitude
     # A pod that is not running consumes nothing.
     pod_target = np.where(running[:, None], pod_target, 0.0)
 
@@ -735,13 +745,9 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
 
 def _restart_pods(state: ClusterState, pods: list[PodState]) -> None:
     services = {p.service for p in pods}
+    reset_pods(state, pods)
     for pod in pods:
-        spec = state.topology.service(pod.service)
-        pod.phase = PodPhase.RUNNING
         pod.restarts += 1
-        pod.cpu_pct = spec.baseline.cpu_pct
-        pod.mem_pct = spec.baseline.mem_pct
-        pod.io_await_ms = spec.baseline.io_await_ms
     doomed = [
         p
         for p in state.perturbations

@@ -32,10 +32,6 @@ class SuiteGenerationError(RemlabError):
 class PlaybookParseError(RemlabError):
     """Playbook text could not be parsed into the supported subset."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
 
 class TranscriptExhaustedError(RemlabError):
     """A replay policy was asked to decide beyond its recorded transcript."""

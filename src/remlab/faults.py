@@ -29,10 +29,12 @@ from .cluster import (
     ClusterState,
     PerturbationKind,
     PodPhase,
+    METRIC_OF,
     RECOVERY_BAND,
     in_band,
     link_key,
     split_link_key,
+    target_services,
 )
 from .errors import InjectionError, LineageError, NotFoundError, SuiteGenerationError
 from .topology import Topology, summarize
@@ -59,59 +61,56 @@ class FailureType(str, Enum):
     CONFIG_ERROR = "config_error"
 
 
-CATEGORY_OF = {
-    FailureType.CPU_SATURATION: FailureCategory.RESOURCE,
-    FailureType.MEMORY_SATURATION: FailureCategory.RESOURCE,
-    FailureType.IO_SATURATION: FailureCategory.RESOURCE,
-    FailureType.NETWORK_LOSS: FailureCategory.NETWORK,
-    FailureType.NETWORK_DELAY: FailureCategory.NETWORK,
-    FailureType.POD_FAILURE: FailureCategory.APPLICATION,
-    FailureType.CONFIG_ERROR: FailureCategory.APPLICATION,
+@dataclass(frozen=True)
+class FailureTypeRow:
+    """Everything that is decided per failure type."""
+
+    category: FailureCategory
+    label: str  # as named in reports
+    kind: PerturbationKind | None  # what is injected; config_error writes the config store
+    default_magnitude: float
+    # Inclusive legal magnitudes. For config_error the magnitude doubles as
+    # the index into the target's sorted declared config keys.
+    magnitude_range: tuple[float, float]
+
+
+_LEAST = RECOVERY_BAND + 1.0  # smallest legal stress or shaping magnitude: past the band
+
+ROW_OF: dict[FailureType, FailureTypeRow] = {
+    FailureType.CPU_SATURATION: FailureTypeRow(
+        FailureCategory.RESOURCE, "CPU Saturation",
+        PerturbationKind.CPU_STRESS, 95.0, (_LEAST, 100.0),
+    ),
+    FailureType.MEMORY_SATURATION: FailureTypeRow(
+        FailureCategory.RESOURCE, "Memory Saturation",
+        PerturbationKind.MEM_STRESS, 95.0, (_LEAST, 100.0),
+    ),
+    FailureType.IO_SATURATION: FailureTypeRow(
+        FailureCategory.RESOURCE, "IO Saturation",
+        PerturbationKind.IO_STRESS, 500.0, (_LEAST, 10000.0),
+    ),
+    FailureType.NETWORK_LOSS: FailureTypeRow(
+        FailureCategory.NETWORK, "Network Loss",
+        PerturbationKind.NET_LOSS, 40.0, (_LEAST, 100.0),
+    ),
+    FailureType.NETWORK_DELAY: FailureTypeRow(
+        FailureCategory.NETWORK, "Network Delay",
+        PerturbationKind.NET_DELAY, 300.0, (_LEAST, 10000.0),
+    ),
+    FailureType.POD_FAILURE: FailureTypeRow(
+        FailureCategory.APPLICATION, "Pod Failure",
+        PerturbationKind.POD_KILL, 1.0, (1.0, 16.0),
+    ),
+    FailureType.CONFIG_ERROR: FailureTypeRow(
+        FailureCategory.APPLICATION, "Configuration Error",
+        None, 0.0, (0.0, 100.0),
+    ),
 }
 
-LABEL_OF = {
-    FailureType.CPU_SATURATION: "CPU Saturation",
-    FailureType.MEMORY_SATURATION: "Memory Saturation",
-    FailureType.IO_SATURATION: "IO Saturation",
-    FailureType.NETWORK_LOSS: "Network Loss",
-    FailureType.NETWORK_DELAY: "Network Delay",
-    FailureType.POD_FAILURE: "Pod Failure",
-    FailureType.CONFIG_ERROR: "Configuration Error",
-}
-
-KIND_OF = {
-    FailureType.CPU_SATURATION: PerturbationKind.CPU_STRESS,
-    FailureType.MEMORY_SATURATION: PerturbationKind.MEM_STRESS,
-    FailureType.IO_SATURATION: PerturbationKind.IO_STRESS,
-    FailureType.NETWORK_LOSS: PerturbationKind.NET_LOSS,
-    FailureType.NETWORK_DELAY: PerturbationKind.NET_DELAY,
-    FailureType.POD_FAILURE: PerturbationKind.POD_KILL,
-}
-
-NETWORK_TYPES = frozenset({FailureType.NETWORK_LOSS, FailureType.NETWORK_DELAY})
-
-DEFAULT_MAGNITUDE = {
-    FailureType.CPU_SATURATION: 95.0,
-    FailureType.MEMORY_SATURATION: 95.0,
-    FailureType.IO_SATURATION: 500.0,
-    FailureType.NETWORK_LOSS: 40.0,
-    FailureType.NETWORK_DELAY: 300.0,
-    FailureType.POD_FAILURE: 1.0,
-    FailureType.CONFIG_ERROR: 0.0,
-}
-
-# Inclusive legal (lo, hi) magnitude ranges per failure type. For
-# config_error the magnitude doubles as the index into the target's sorted
-# declared config keys.
-MAGNITUDE_RANGE = {
-    FailureType.CPU_SATURATION: (RECOVERY_BAND + 1.0, 100.0),
-    FailureType.MEMORY_SATURATION: (RECOVERY_BAND + 1.0, 100.0),
-    FailureType.IO_SATURATION: (RECOVERY_BAND + 1.0, 10000.0),
-    FailureType.NETWORK_LOSS: (RECOVERY_BAND + 1.0, 100.0),
-    FailureType.NETWORK_DELAY: (RECOVERY_BAND + 1.0, 10000.0),
-    FailureType.POD_FAILURE: (1.0, 16.0),
-    FailureType.CONFIG_ERROR: (0.0, 100.0),
-}
+# Types whose target is a link "src->dst"; every other type targets a service.
+NETWORK_TYPES = frozenset(
+    ft for ft, row in ROW_OF.items() if row.category == FailureCategory.NETWORK
+)
 
 SUITE_SIZES = {"easy": 23, "medium": 49, "hard": 80}
 DIFFICULTIES = ("easy", "medium", "hard")
@@ -126,16 +125,12 @@ class FailureSpec:
     magnitude: float | None = None
 
     @property
-    def category(self) -> FailureCategory:
-        return CATEGORY_OF[self.ftype]
-
-    @property
-    def method(self) -> str:
-        return "config" if self.ftype == FailureType.CONFIG_ERROR else "chaos"
+    def row(self) -> FailureTypeRow:
+        return ROW_OF[self.ftype]
 
     @property
     def effective_magnitude(self) -> float:
-        return DEFAULT_MAGNITUDE[self.ftype] if self.magnitude is None else self.magnitude
+        return self.row.default_magnitude if self.magnitude is None else self.magnitude
 
 
 @dataclass
@@ -146,7 +141,6 @@ class FailureRecord:
     injected_at: int
     handles: tuple[str, ...]
     original_values: dict[str, str]
-    recovery_predicate: str
     lineage: str
 
 
@@ -172,20 +166,6 @@ class Scenario:
     scenario_id: str
     difficulty: str
     faults: tuple[FailureSpec, ...]
-
-
-@dataclass(frozen=True)
-class SuiteCatalog:
-    """The three fixed-size suites for one (topology, seed)."""
-
-    easy: tuple[Scenario, ...]
-    medium: tuple[Scenario, ...]
-    hard: tuple[Scenario, ...]
-
-    def __post_init__(self):
-        for name, suite in (("easy", self.easy), ("medium", self.medium), ("hard", self.hard)):
-            if len(suite) != SUITE_SIZES[name]:
-                raise ValueError(f"{name} suite must have {SUITE_SIZES[name]} scenarios")
 
 
 def build_aux(topology: Topology) -> AuxContext:
@@ -216,7 +196,7 @@ def build_aux(topology: Topology) -> AuxContext:
 def inject(state: ClusterState, spec: FailureSpec) -> FailureRecord:
     """Inject one failure into the cluster, returning its ground truth."""
     magnitude = spec.effective_magnitude
-    lo, hi = MAGNITUDE_RANGE[spec.ftype]
+    lo, hi = spec.row.magnitude_range
     if not (lo <= magnitude <= hi):
         raise InjectionError(
             f"magnitude {magnitude} out of range [{lo}, {hi}] for {spec.ftype.value}"
@@ -244,12 +224,10 @@ def inject(state: ClusterState, spec: FailureSpec) -> FailureRecord:
             injected_at=state.clock_ms,
             handles=(),
             original_values={key: original},
-            recovery_predicate="config-restored",
             lineage=state.lineage,
         )
 
-    kind = KIND_OF[spec.ftype]
-    pert = cluster.add_perturbation(state, kind, spec.target, magnitude)
+    pert = cluster.add_perturbation(state, spec.row.kind, spec.target, magnitude)
     if spec.ftype == FailureType.POD_FAILURE:
         victims = [p for p in state.service_pods(spec.target) if p.phase == PodPhase.RUNNING]
         for pod in victims[: max(1, int(magnitude))]:
@@ -259,7 +237,6 @@ def inject(state: ClusterState, spec: FailureSpec) -> FailureRecord:
         injected_at=state.clock_ms,
         handles=(pert.handle,),
         original_values={},
-        recovery_predicate=_PREDICATE_OF[spec.ftype],
         lineage=state.lineage,
     )
 
@@ -271,18 +248,7 @@ def _is_active(state: ClusterState, spec: FailureSpec) -> bool:
             state.config_store.get((spec.target, key)) != value
             for key, value in svc.config.items()
         )
-    return bool(state.active(KIND_OF[spec.ftype], spec.target))
-
-
-_PREDICATE_OF = {
-    FailureType.CPU_SATURATION: "cpu-in-band",
-    FailureType.MEMORY_SATURATION: "mem-in-band",
-    FailureType.IO_SATURATION: "io-in-band",
-    FailureType.NETWORK_LOSS: "link-loss-clear",
-    FailureType.NETWORK_DELAY: "link-delay-clear",
-    FailureType.POD_FAILURE: "pods-running",
-    FailureType.CONFIG_ERROR: "config-restored",
-}
+    return bool(state.active(spec.row.kind, spec.target))
 
 
 # --- reports ------------------------------------------------------------------
@@ -309,8 +275,8 @@ _DESCRIPTION_TEMPLATES = {
 def make_report(record: FailureRecord, aux: AuxContext) -> FailureReport:
     """Render the deterministic diagnosis text for one failure record."""
     spec = record.spec
-    label = LABEL_OF[spec.ftype]
-    template = _DESCRIPTION_TEMPLATES[spec.category]
+    label = spec.row.label
+    template = _DESCRIPTION_TEMPLATES[spec.row.category]
     if spec.ftype in NETWORK_TYPES:
         src, dst = split_link_key(spec.target)
         description = template.format(src=src, dst=dst, label=label)
@@ -393,31 +359,22 @@ def oracle_verify(state: ClusterState, record: FailureRecord) -> bool:
                 return False
         return _pods_running(state, spec.target)
 
-    if state.active(KIND_OF[spec.ftype], spec.target):
+    kind = spec.row.kind
+    if state.active(kind, spec.target):
         return False
 
     if spec.ftype in NETWORK_TYPES:
-        src, dst = split_link_key(spec.target)
-        link = state.find_link(src, dst)
-        if link is None:
-            return False
-        value = link.loss_pct if spec.ftype == FailureType.NETWORK_LOSS else link.added_delay_ms
-        return in_band(value, 0.0)
+        link = state.find_link(*split_link_key(spec.target))
+        return link is not None and in_band(getattr(link, METRIC_OF[kind].name), 0.0)
 
-    if spec.ftype == FailureType.POD_FAILURE:
-        return _pods_running(state, spec.target)
-
-    # Resource stress: pods running and the stressed metric back in band.
-    metric = {
-        FailureType.CPU_SATURATION: "cpu_pct",
-        FailureType.MEMORY_SATURATION: "mem_pct",
-        FailureType.IO_SATURATION: "io_await_ms",
-    }[spec.ftype]
-    baseline = getattr(state.topology.service(spec.target).baseline, metric)
-    pods = state.service_pods(spec.target)
-    if not pods or not _pods_running(state, spec.target):
+    if not _pods_running(state, spec.target):
         return False
-    return all(in_band(getattr(p, metric), baseline) for p in pods)
+    if kind not in METRIC_OF:  # pod_kill
+        return True
+    # Resource stress: the stressed metric is back in band too.
+    metric = METRIC_OF[kind].name
+    baseline = getattr(state.topology.service(spec.target).baseline, metric)
+    return all(in_band(getattr(p, metric), baseline) for p in state.service_pods(spec.target))
 
 
 def _pods_running(state: ClusterState, service: str) -> bool:
@@ -450,34 +407,13 @@ def restore(state: ClusterState, record: FailureRecord) -> ClusterState:
         cluster.set_config(state, spec.target, key, original)
 
     if spec.ftype in NETWORK_TYPES:
-        src, dst = split_link_key(spec.target)
-        link = state.find_link(src, dst)
-        if link is not None:
-            if spec.ftype == FailureType.NETWORK_LOSS:
-                link.loss_pct = 0.0
-            else:
-                link.added_delay_ms = 0.0
-        return state
-
-    spec_baseline = state.topology.service(spec.target).baseline
-    for pod in state.service_pods(spec.target):
-        pod.phase = PodPhase.RUNNING
-        pod.cpu_pct = spec_baseline.cpu_pct
-        pod.mem_pct = spec_baseline.mem_pct
-        pod.io_await_ms = spec_baseline.io_await_ms
+        cluster.snap_link_metric(state, spec.row.kind, spec.target)
+    else:
+        cluster.reset_pods(state, state.service_pods(spec.target))
     return state
 
 
 # --- suites -------------------------------------------------------------------
-
-SERVICE_TYPES = (
-    FailureType.CPU_SATURATION,
-    FailureType.MEMORY_SATURATION,
-    FailureType.IO_SATURATION,
-    FailureType.POD_FAILURE,
-    FailureType.CONFIG_ERROR,
-)
-
 
 def candidate_targets(topology: Topology, ftype: FailureType) -> list[str]:
     if ftype in NETWORK_TYPES:
@@ -487,21 +423,15 @@ def candidate_targets(topology: Topology, ftype: FailureType) -> list[str]:
     return list(topology.services)
 
 
-def target_services(spec: FailureSpec) -> set[str]:
-    if spec.ftype in NETWORK_TYPES:
-        return set(split_link_key(spec.target))
-    return {spec.target}
-
-
 def _independent(topology: Topology, a: FailureSpec, b: FailureSpec) -> bool:
-    sa, sb = target_services(a), target_services(b)
-    if sa & sb:
+    sa, sb = target_services(a.target), target_services(b.target)
+    if set(sa) & set(sb):
         return False
     return not any(topology.adjacent(x, y) for x in sa for y in sb)
 
 
 def _coupled(topology: Topology, a: FailureSpec, b: FailureSpec) -> bool:
-    sa, sb = target_services(a), target_services(b)
+    sa, sb = target_services(a.target), target_services(b.target)
     return any(x != y and topology.adjacent(x, y) for x in sa for y in sb)
 
 
@@ -545,22 +475,14 @@ def gen_suite(topology: Topology, difficulty: str, seed: int) -> list[Scenario]:
         if not any(_independent(topology, probe, s) for s in flat):
             raise SuiteGenerationError("topology too small for independent fault pairs")
 
+    service_types = [ft for ft in ftypes if ft not in NETWORK_TYPES]
     cursors: dict[FailureType, int] = {ft: 0 for ft in ftypes}
 
     def next_primary(ft: FailureType) -> FailureSpec:
         pool = candidates[ft]
         target = pool[cursors[ft] % len(pool)]
         cursors[ft] += 1
-        magnitude = DEFAULT_MAGNITUDE[ft]
-        if ft == FailureType.CONFIG_ERROR:
-            magnitude = float(cursors[ft] % 3)  # rotate over declared keys
-        return FailureSpec(ftype=ft, target=target, magnitude=magnitude)
-
-    def spec_for(ft: FailureType, target: str, salt: int) -> FailureSpec:
-        magnitude = DEFAULT_MAGNITUDE[ft]
-        if ft == FailureType.CONFIG_ERROR:
-            magnitude = float(salt % 3)
-        return FailureSpec(ftype=ft, target=target, magnitude=magnitude)
+        return _spec(ft, target, cursors[ft])
 
     scenarios: list[Scenario] = []
     partner_cursor = 0
@@ -578,9 +500,7 @@ def gen_suite(topology: Topology, difficulty: str, seed: int) -> list[Scenario]:
                 order = rng.permutation(
                     len(ftypes) * max(len(c) for c in candidates.values())
                 )
-                partner = _find_partner(
-                    topology, primary, ftypes, candidates, order, require="independent"
-                )
+                partner = _find_partner(topology, primary, ftypes, candidates, order)
                 if partner is not None:
                     break
                 primary = next_primary(primary.ftype)
@@ -592,15 +512,15 @@ def gen_suite(topology: Topology, difficulty: str, seed: int) -> list[Scenario]:
 
         elif difficulty == "hard":
             u, v = edges[i % len(edges)]
-            ft_u = SERVICE_TYPES[partner_cursor % len(SERVICE_TYPES)]
+            ft_u = service_types[partner_cursor % len(service_types)]
             partner_cursor += 1
-            ft_v = SERVICE_TYPES[partner_cursor % len(SERVICE_TYPES)]
+            ft_v = service_types[partner_cursor % len(service_types)]
             partner_cursor += 1
             if ft_u == FailureType.CONFIG_ERROR and not topology.service(u).config:
                 ft_u = FailureType.CPU_SATURATION
             if ft_v == FailureType.CONFIG_ERROR and not topology.service(v).config:
                 ft_v = FailureType.MEMORY_SATURATION
-            faults = [spec_for(ft_u, u, i), spec_for(ft_v, v, i + 1)]
+            faults = [_spec(ft_u, u, i), _spec(ft_v, v, i + 1)]
             if i % 3 == 2:  # every third scenario carries a third fault
                 order = rng.permutation(
                     len(ftypes) * max(len(c) for c in candidates.values())
@@ -627,40 +547,31 @@ def gen_suite(topology: Topology, difficulty: str, seed: int) -> list[Scenario]:
     return scenarios
 
 
-def gen_catalog(topology: Topology, seed: int) -> SuiteCatalog:
-    return SuiteCatalog(
-        easy=tuple(gen_suite(topology, "easy", seed)),
-        medium=tuple(gen_suite(topology, "medium", seed)),
-        hard=tuple(gen_suite(topology, "hard", seed)),
-    )
+def _spec(ftype: FailureType, target: str, salt: int) -> FailureSpec:
+    """A suite fault: the type's default magnitude, except that config_error
+    takes ``salt % 3`` to rotate over the target's declared keys."""
+    if ftype == FailureType.CONFIG_ERROR:
+        return FailureSpec(ftype, target, float(salt % 3))
+    return FailureSpec(ftype, target, ROW_OF[ftype].default_magnitude)
 
 
-def _find_partner(topology, primary, ftypes, candidates, order, require) -> FailureSpec | None:
-    flat: list[FailureSpec] = []
-    for ft in ftypes:
-        for j, target in enumerate(candidates[ft]):
-            magnitude = DEFAULT_MAGNITUDE[ft]
-            if ft == FailureType.CONFIG_ERROR:
-                magnitude = float(j % 3)
-            flat.append(FailureSpec(ftype=ft, target=target, magnitude=magnitude))
+def _find_partner(topology, primary, ftypes, candidates, order) -> FailureSpec | None:
+    """The first spec in ``order`` that is independent of ``primary``, or None."""
+    flat = [
+        _spec(ft, target, j) for ft in ftypes for j, target in enumerate(candidates[ft])
+    ]
     for idx in order:
         spec = flat[int(idx) % len(flat)]
-        if require == "independent" and _independent(topology, primary, spec):
+        if _independent(topology, primary, spec):
             return spec
     return None
 
 
 def _find_target(topology, ftype, pool, existing, order, salt) -> FailureSpec | None:
-    taken = set()
-    for f in existing:
-        taken |= target_services(f)
+    taken = {svc for f in existing for svc in target_services(f.target)}
     for idx in order:
-        target = pool[int(idx) % len(pool)]
-        magnitude = DEFAULT_MAGNITUDE[ftype]
-        if ftype == FailureType.CONFIG_ERROR:
-            magnitude = float(salt % 3)
-        spec = FailureSpec(ftype=ftype, target=target, magnitude=magnitude)
-        if not (target_services(spec) & taken):
+        spec = _spec(ftype, pool[int(idx) % len(pool)], salt)
+        if not taken.intersection(target_services(spec.target)):
             return spec
     return None
 

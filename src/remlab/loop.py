@@ -95,34 +95,38 @@ class Episode:
 def observable_verify(state: ClusterState, report: FailureReport) -> bool:
     """Verification without ground truth: reported targets look nominal.
 
-    Service targets must have every pod Running with all metrics inside the
-    baseline band; link targets must have shaping metrics inside the band
-    around zero.
+    Raises NotFoundError for a target the cluster does not have.
     """
     for target in report.target_service.split(","):
-        if "->" in target:
-            src, dst = split_link_key(target)
-            link = state.find_link(src, dst)
-            if link is None:
-                raise NotFoundError(f"unknown link {target!r}")
-            if not (in_band(link.added_delay_ms, 0.0) and in_band(link.loss_pct, 0.0)):
-                return False
-            continue
-        if target not in state.topology.services:
-            raise NotFoundError(f"unknown service {target!r}")
-        baseline = state.topology.service(target).baseline
-        pods = state.service_pods(target)
-        if not pods:
+        if not _target_nominal(state, target):
             return False
-        for pod in pods:
-            if pod.phase != PodPhase.RUNNING:
-                return False
-            if not (
-                in_band(pod.cpu_pct, baseline.cpu_pct)
-                and in_band(pod.mem_pct, baseline.mem_pct)
-                and in_band(pod.io_await_ms, baseline.io_await_ms)
-            ):
-                return False
+    return True
+
+
+def _target_nominal(state: ClusterState, target: str) -> bool:
+    """Whether one reported target looks nominal.
+
+    A service needs every pod Running with all metrics inside the baseline
+    band; a link needs its shaping metrics inside the band around zero.
+    """
+    if "->" in target:
+        link = state.find_link(*split_link_key(target))
+        if link is None:
+            raise NotFoundError(f"unknown link {target!r}")
+        return in_band(link.added_delay_ms, 0.0) and in_band(link.loss_pct, 0.0)
+    if target not in state.topology.services:
+        raise NotFoundError(f"unknown service {target!r}")
+    baseline = state.topology.service(target).baseline
+    pods = state.service_pods(target)
+    if not pods:
+        return False
+    for pod in pods:
+        if pod.phase != PodPhase.RUNNING or not (
+            in_band(pod.cpu_pct, baseline.cpu_pct)
+            and in_band(pod.mem_pct, baseline.mem_pct)
+            and in_band(pod.io_await_ms, baseline.io_await_ms)
+        ):
+            return False
     return True
 
 
@@ -169,14 +173,8 @@ def reflect(inp: PolicyInput, attempt: Attempt, state: ClusterState) -> PolicyIn
 def _degraded_targets(state: ClusterState, report: FailureReport) -> list[str]:
     out = []
     for target in report.target_service.split(","):
-        single = faults.FailureReport(
-            target_service=target,
-            failure_type=report.failure_type,
-            description="",
-            aux_context=report.aux_context,
-        )
         try:
-            if not observable_verify(state, single):
+            if not _target_nominal(state, target):
                 out.append(target)
         except NotFoundError:
             continue
@@ -360,10 +358,7 @@ def _neighborhood_scope(state: ClusterState, report: FailureReport) -> tuple[str
     """Reported targets plus their direct dependency neighborhood."""
     scope: set[str] = set()
     for target in report.target_service.split(","):
-        if "->" in target:
-            scope |= set(split_link_key(target))
-        else:
-            scope.add(target)
+        scope.update(cluster.target_services(target))
     for svc in list(scope):
         if svc not in state.topology.services:
             continue

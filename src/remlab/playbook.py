@@ -77,6 +77,26 @@ def _load(text: str) -> object:
         raise PlaybookParseError(f"malformed YAML: {exc}") from exc
 
 
+_PLAY_FIELDS = ("name", "hosts")
+_TASK_FIELDS = ("name", "register", "when")
+# The containers the safe loaders build; they build no subclasses of these.
+_CONTAINERS = frozenset({list, dict, set})
+
+
+def _field_error(raw: Mapping, fields: tuple[str, ...]) -> str | None:
+    """Why a play's or task's text fields are invalid, or None; parse and structure
+    share this rule.
+
+    Each field is read as text, so it must not be a list, mapping or set: ``str()``
+    expands YAML aliases, and a few hundred characters of aliases that each repeat
+    the one before expand to gigabytes.
+    """
+    for key in fields:
+        if type(raw.get(key)) in _CONTAINERS:
+            return f"{key} must be a scalar"
+    return None
+
+
 def _action_error(task: Mapping) -> str | None:
     """Why a task's action is invalid, or None; parse and structure share this rule.
 
@@ -110,6 +130,9 @@ def _plays_from_doc(raw: object) -> Playbook:
     for p_idx, play_raw in enumerate(raw):
         if not isinstance(play_raw, Mapping):
             raise PlaybookParseError(f"play {p_idx} is not a mapping")
+        field_error = _field_error(play_raw, _PLAY_FIELDS)
+        if field_error is not None:
+            raise PlaybookParseError(f"play {p_idx}: {field_error}")
         tasks_raw = play_raw.get("tasks") or []
         if not isinstance(tasks_raw, list):
             raise PlaybookParseError(f"play {p_idx}: tasks must be a list")
@@ -118,7 +141,7 @@ def _plays_from_doc(raw: object) -> Playbook:
         for t_idx, task_raw in enumerate(tasks_raw):
             if not isinstance(task_raw, Mapping):
                 raise PlaybookParseError(f"play {p_idx} task {t_idx} is not a mapping")
-            error = _action_error(task_raw)
+            error = _field_error(task_raw, _TASK_FIELDS) or _action_error(task_raw)
             if error is not None:
                 raise PlaybookParseError(f"play {p_idx} task {t_idx}: {error}")
             action = next(k for k in _ACTION_KEYS if k in task_raw)
@@ -228,7 +251,9 @@ def _structure_from_doc(raw: object) -> StructReport:
     plays = [p for p in raw if isinstance(p, Mapping)] if checks["parsable"] else []
     # The per-play checks hold over zero plays only vacuously, so they need one.
     if plays:
-        checks["has_play"] = len(plays) == len(raw)
+        checks["has_play"] = len(plays) == len(raw) and all(
+            _field_error(p, _PLAY_FIELDS) is None for p in plays
+        )
         checks["hosts_present"] = all(bool(p.get("hosts")) for p in plays)
         task_lists = [p.get("tasks") for p in plays]
         checks["tasks_nonempty"] = all(
@@ -246,6 +271,9 @@ def _structure_from_doc(raw: object) -> StructReport:
                 if not isinstance(task, Mapping):
                     all_tasks_valid = False
                     continue
+                if _field_error(task, _TASK_FIELDS) is not None:
+                    all_tasks_valid = False
+                    continue  # its register and when cannot be read as text
                 if _action_error(task) is not None:
                     all_tasks_valid = False
                 reg = task.get("register")

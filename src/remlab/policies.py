@@ -22,13 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from . import cluster, yamlio
-from .cluster import ProbeQuery, RECOVERY_BAND, split_link_key
+from .cluster import ProbeQuery, RECOVERY_BAND, split_link_key, target_services
 from .errors import InvalidArgumentError, TranscriptExhaustedError
 from .faults import (
     AuxContext,
+    FailureCategory,
     FailureReport,
     FailureType,
     NETWORK_TYPES,
+    ROW_OF,
     report_faults,
 )
 from .topology import Topology
@@ -124,12 +126,6 @@ class Template:
     fixes: FailureType | None  # None marks a distractor
 
 
-def _fault_service(topology: Topology, target: str) -> str:
-    if "->" in target:
-        return split_link_key(target)[0]
-    return target
-
-
 def _fault_link(topology: Topology, target: str) -> tuple[str, str]:
     if "->" in target:
         return split_link_key(target)
@@ -163,19 +159,11 @@ class TemplateLibrary:
         """Render one template into a play document for the given fault."""
         template = self.templates[action_id]
         topo = self.topology
-        svc = _fault_service(topo, target)
+        svc = target_services(target)[0]
         fixes = template.fixes
 
-        if fixes in (
-            FailureType.CPU_SATURATION,
-            FailureType.MEMORY_SATURATION,
-            FailureType.IO_SATURATION,
-        ):
-            kind = {
-                FailureType.CPU_SATURATION: "cpu_stress",
-                FailureType.MEMORY_SATURATION: "mem_stress",
-                FailureType.IO_SATURATION: "io_stress",
-            }[fixes]
+        if fixes is not None and ROW_OF[fixes].category == FailureCategory.RESOURCE:
+            kind = ROW_OF[fixes].kind.value
             return {
                 "name": f"{template.name} on {svc}",
                 "hosts": svc,
@@ -299,7 +287,8 @@ def classify_context(inp: PolicyInput, topology: Topology) -> int:
     """
     faults = report_faults(inp.report)
     ftype, target = faults[0]
-    svc = _fault_service(topology, target)
+    named = target_services(target)
+    svc = named[0]
     deps = set(topology.service(svc).dependencies)
 
     target_degraded = False
@@ -311,21 +300,15 @@ def classify_context(inp: PolicyInput, topology: Topology) -> int:
         if "pods" in payload and payload.get("service"):
             service = payload["service"]
             degraded = _pods_degraded(payload, topology)
-            if service == svc or service in split_target_services(target):
+            if service in named:
                 target_degraded = target_degraded or degraded
             elif service in deps:
                 dependency_degraded = dependency_degraded or degraded
         elif "loss_pct" in payload:
-            if {payload.get("src"), payload.get("dst")} & split_target_services(target):
+            if {payload.get("src"), payload.get("dst")}.intersection(named):
                 if payload["loss_pct"] > RECOVERY_BAND or payload["added_delay_ms"] > RECOVERY_BAND:
                     target_degraded = True
     return _CLASS_INDEX[(ftype, target_degraded, dependency_degraded)]
-
-
-def split_target_services(target: str) -> set[str]:
-    if "->" in target:
-        return set(split_link_key(target))
-    return {target}
 
 
 def _pods_degraded(payload: dict, topology: Topology) -> bool:
@@ -498,7 +481,7 @@ class ToyPolicy(Policy):
         ftype, target = faults[0]
         if not _has_probed(inp):
             queries = [_metrics_probe_for(target)]
-            svc = _fault_service(self.topology, target)
+            svc = target_services(target)[0]
             deps = self.topology.service(svc).dependencies
             if deps:
                 queries.append(cluster.pod_metrics_query(deps[0]))

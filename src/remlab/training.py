@@ -265,6 +265,11 @@ def _context_class(env: TrainEnv, state: cluster.ClusterState, report: FailureRe
     return classify_context(inp, env.topology)
 
 
+def mining_rollouts(env: TrainEnv) -> int:
+    """How many rollouts ``real_rft`` mines preference pairs from."""
+    return max(4 * len(env.scenarios), 64)
+
+
 def mine_preference_pairs(
     env: TrainEnv,
     policy: ToyPolicy,
@@ -329,13 +334,17 @@ def _descend(
 ) -> ToyPolicy:
     for it in range(config.iterations):
         loss, gradient = loss_fn(policy)
-        if not np.isfinite(loss) or not np.all(np.isfinite(gradient)):
-            raise DivergenceError(f"non-finite loss at iteration {it}")
+        _check_finite(loss, gradient, it)
         curve.add(it, loss)
         if stop_below is not None and loss < stop_below:
             break
         policy.theta -= config.learning_rate * gradient
     return policy
+
+
+def _check_finite(loss: float, gradient: np.ndarray, iteration: int) -> None:
+    if not np.isfinite(loss) or not np.all(np.isfinite(gradient)):
+        raise DivergenceError(f"non-finite loss at iteration {iteration}")
 
 
 def train_stage(
@@ -390,8 +399,7 @@ def train_stage(
                 continue
             group = RolloutGroup(scenario_id=scenario.scenario_id, members=tuple(members))
             loss, gradient = grpo_loss(policy, [group])
-            if not np.isfinite(loss) or not np.all(np.isfinite(gradient)):
-                raise DivergenceError(f"non-finite loss at iteration {it}")
+            _check_finite(loss, gradient, it)
             mean_reward = sum(m.reward for m in members) / len(members)
             curve.add(it, loss, mean_reward=mean_reward)
             policy.theta -= config.learning_rate * gradient
@@ -401,7 +409,7 @@ def train_stage(
     policy = init_policy.clone()
     reference = init_policy.clone()  # frozen snapshot
     mined = list(pairs) if pairs is not None else mine_preference_pairs(
-        env, policy, n_rollouts=max(4 * len(env.scenarios), 64), seed=config.seed
+        env, policy, n_rollouts=mining_rollouts(env), seed=config.seed
     )
     if not mined:
         raise EmptyDatasetError("no preference pairs mined")

@@ -1,9 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from remlab import cluster, faults
-from remlab.cluster import PerturbationKind, PodPhase
+from remlab.cluster import (
+    ClearLinkShaping,
+    KillProcess,
+    PerturbationKind,
+    PodPhase,
+    RemovePerturbation,
+    RestartPod,
+    RestartService,
+    SetConfig,
+)
 from remlab.errors import (
     InjectionError,
     LineageError,
@@ -26,7 +36,7 @@ from remlab.faults import (
     suite_from_jsonl,
     suite_to_jsonl,
 )
-from remlab.topology import bundled_topology
+from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
 
 ALL_TYPES = list(FailureType)
 
@@ -200,6 +210,74 @@ def test_restore_inject_is_identity_modulo_clock_and_restarts(simple_micro):
         ), ftype
 
 
+def _act(state, kind, which):
+    """Apply one remediation action that leaves every service's replica count alone."""
+    services = list(state.topology.services)
+    svc = services[which % len(services)]
+    if kind == 0:
+        cluster.apply(state, RestartPod(state.pods[which % len(state.pods)].pod_id))
+    elif kind == 1:
+        cluster.apply(state, RestartService(svc))
+    elif kind == 2:
+        declared = state.topology.service(svc).config
+        if declared:
+            key = sorted(declared)[which % len(declared)]
+            cluster.apply(state, SetConfig(svc, key, declared[key] if which % 2 else "zz"))
+    elif kind == 3:
+        if state.process_table:
+            handles = sorted(state.process_table)
+            cluster.apply(state, KillProcess(handles[which % len(handles)]))
+    elif kind == 4:
+        link = state.links[which % len(state.links)]
+        cluster.apply(state, ClearLinkShaping(link.src, link.dst))
+    elif state.perturbations:
+        pert = state.perturbations[which % len(state.perturbations)]
+        cluster.apply(state, RemovePerturbation(pert.kind, pert.target))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(BUNDLED_TOPOLOGIES),
+    seed=st.integers(0, 2**32 - 1),
+    injected=st.lists(
+        st.tuples(st.sampled_from(ALL_TYPES), st.integers(0, 40), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    # Each operation is a step of dt_ms, or (action kind, which) for _act.
+    ops=st.lists(
+        st.one_of(st.sampled_from([500, 1000, 3000]), st.tuples(st.integers(0, 5), st.integers(0, 40))),
+        max_size=25,
+    ),
+)
+def test_restore_of_every_record_satisfies_every_oracle(name, seed, injected, ops):
+    """Whatever a policy did in between, restoring every record leaves every oracle true.
+
+    Scaling is left out on purpose: restore undoes the injection, not the
+    policy's actions, so a service the policy scaled to 0 stays without pods
+    and its oracle stays False.
+    """
+    topo = bundled_topology(name)
+    state = cluster.load_topology(topo, seed=seed)
+    records = []
+    for ftype, which, fraction in injected:
+        targets = faults.candidate_targets(topo, ftype)
+        lo, hi = faults.ROW_OF[ftype].magnitude_range
+        spec = FailureSpec(ftype, targets[which % len(targets)], lo + fraction * (hi - lo))
+        try:
+            records.append(inject(state, spec))
+        except InjectionError:  # that fault is already active on that target
+            continue
+    for op in ops:
+        if isinstance(op, int):
+            cluster.step(state, op)
+        else:
+            _act(state, *op)
+    for record in records:
+        restore(state, record)
+    assert all(oracle_verify(state, record) for record in records)
+
+
 def test_restore_on_foreign_record_raises(state, simple_micro):
     other = cluster.load_topology(simple_micro, seed=99)
     record = inject(other, FailureSpec(FailureType.CPU_SATURATION, "orders"))
@@ -297,10 +375,3 @@ def test_corrupt_value_marker_never_matches_declared(simple_micro):
     for spec in simple_micro.services.values():
         for value in spec.config.values():
             assert value != CORRUPT_VALUE
-
-
-def test_suite_catalog_bundles_all_three(simple_micro):
-    catalog = faults.gen_catalog(simple_micro, seed=1)
-    assert (len(catalog.easy), len(catalog.medium), len(catalog.hard)) == (23, 49, 80)
-    with pytest.raises(ValueError, match="easy suite"):
-        faults.SuiteCatalog(easy=catalog.easy[:5], medium=catalog.medium, hard=catalog.hard)

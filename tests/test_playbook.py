@@ -104,6 +104,32 @@ def test_non_scalar_action_is_a_parse_error(value):
     assert read_proposal(text)[0] is None
 
 
+_PLAY = "- name: {name}\n  hosts: {hosts}\n  tasks:\n    - name: {task}\n      shell: echo hi\n"
+# A playbook with one text field set to VALUE, and the structure check that field fails.
+_TEXT_FIELDS = {
+    "play-name": (_PLAY.format(name="VALUE", hosts="all", task="t"), "has_play"),
+    "play-hosts": (_PLAY.format(name="p", hosts="VALUE", task="t"), "has_play"),
+    "task-name": (_PLAY.format(name="p", hosts="all", task="VALUE"), "actions_valid"),
+    "task-register": (_PLAY.format(name="p", hosts="all", task="t") + "      register: VALUE\n",
+                      "actions_valid"),
+    "task-when": (_PLAY.format(name="p", hosts="all", task="t") + "      when: VALUE\n",
+                  "actions_valid"),
+}
+
+
+@pytest.mark.parametrize("value", ["[a, b]", "{a: b}", "!!set {a, b}"])
+@pytest.mark.parametrize("field", list(_TEXT_FIELDS))
+def test_non_scalar_text_field_is_a_parse_error(field, value):
+    """Play and task fields read as text must be scalars; the grader fails the same ones."""
+    template, check = _TEXT_FIELDS[field]
+    text = template.replace("VALUE", value)
+    with pytest.raises(PlaybookParseError, match="must be a scalar"):
+        parse_playbook(text)
+    struct = check_structure(text)
+    assert [name for name, ok in struct.checks.items() if not ok] == [check]
+    assert read_proposal(text)[0] is None
+
+
 def test_parse_tolerates_missing_hosts():
     pb = parse_playbook("- name: p\n  tasks:\n    - {name: t, shell: echo hi}\n")
     assert pb.plays[0].hosts is None
@@ -369,6 +395,60 @@ def test_deep_nesting_never_crashes_the_process():
     child = subprocess.run(
         [sys.executable, "-c", _NO_CRASH_SCRIPT],
         env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+
+
+_ALIAS_CHAIN_SCRIPT = """
+import sys
+
+import yaml
+
+from remlab import yamlio
+from remlab.errors import PlaybookParseError
+from remlab.playbook import check_structure, parse_playbook, read_proposal
+
+yamlio.Loader, yamlio.Dumper = getattr(yaml, sys.argv[1]), getattr(yaml, sys.argv[2])
+FIELDS = {"play-name": "has_play", "play-hosts": "has_play", "task-name": "actions_valid",
+          "task-register": "actions_valid", "task-when": "actions_valid"}
+
+
+def chain(depth, field):
+    # Level d is a list of nine aliases of level d - 1: str() of the top level has 9**depth leaves.
+    levels = ["&l0 [" + ", ".join(["x"] * 9) + "]"]
+    levels += [f"&l{d} [" + ", ".join([f"*l{d - 1}"] * 9) + "]" for d in range(1, depth)]
+    value = {f: (f"*l{depth - 1}" if f == field else "t") for f in FIELDS}
+    return (
+        f"- vars: [{', '.join(levels)}]\\n"
+        f"  name: {value['play-name']}\\n  hosts: {value['play-hosts']}\\n  tasks:\\n"
+        f"    - name: {value['task-name']}\\n      shell: echo hi\\n"
+        f"      register: {value['task-register']}\\n      when: {value['task-when']}\\n"
+    )
+
+
+for depth in (2, 3, 12):  # at depth 12, str() of the field holds 9**12 (2.8 * 10**11) leaves
+    for field, check in FIELDS.items():
+        text = chain(depth, field)
+        assert read_proposal(text)[0] is None, (depth, field)
+        assert not check_structure(text).checks[check], (depth, field)
+        try:
+            parse_playbook(text)
+        except PlaybookParseError:
+            continue
+        raise AssertionError(f"parsed: {(depth, field)}")
+"""
+
+
+@pytest.mark.parametrize("yaml_pair", ["pure", pytest.param("libyaml", marks=_needs_libyaml)])
+def test_alias_chains_in_text_fields_are_parse_errors(yaml_pair):
+    """A short proposal whose text field aliases a list of aliases of lists ... would
+    expand exponentially when read as text. Run in a child process, so that a
+    regression fails by timeout or exit code instead of exhausting the test run's memory."""
+    src = os.path.dirname(os.path.dirname(playbook.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", _ALIAS_CHAIN_SCRIPT, *_YAML_CLASSES[yaml_pair]],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0, child.stderr[-2000:]
 
