@@ -154,7 +154,7 @@ def run_scenario(
     policy: Policy,
     aux=None,
 ) -> Episode:
-    """Fresh cluster, inject all faults, settle, run the episode, restore."""
+    """Fresh cluster, inject all faults, settle, run the episode."""
     state, records, report = faults.prepare_episode(
         topology,
         scenario,
@@ -162,12 +162,9 @@ def run_scenario(
         manifest.loop,
         aux or faults.build_aux(topology),
     )
-    episode = run_episode(
+    return run_episode(
         policy, state, records, manifest.loop, report, scenario_id=scenario.scenario_id
     )
-    for record in records:
-        faults.restore(state, record)
-    return episode
 
 
 def run_suite(

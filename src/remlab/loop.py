@@ -219,7 +219,7 @@ def run_episode(
                     index=t,
                     playbook_text="",
                     struct=playbook.EMPTY_STRUCT,
-                    safety=SafetyReport(unsafe=False, matched_rules=()),
+                    safety=playbook.EMPTY_SAFETY,
                     trace=None,
                     verdict=0,
                     probes_used=0,
@@ -301,7 +301,7 @@ def _run_attempt(
             index=t,
             playbook_text="",
             struct=playbook.EMPTY_STRUCT,
-            safety=SafetyReport(unsafe=False, matched_rules=()),
+            safety=playbook.EMPTY_SAFETY,
             trace=None,
             verdict=0,
             probes_used=probes_used,
@@ -309,7 +309,7 @@ def _run_attempt(
         )
 
     parsed, struct = playbook.read_proposal(proposal.playbook_text)
-    safety = SafetyReport(unsafe=False, matched_rules=())
+    safety = playbook.EMPTY_SAFETY
     trace: ExecutionTrace | None = None
     if parsed is not None:
         safety = playbook.check_safety(parsed, constraints)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 
 import pytest
 import yaml
@@ -15,7 +16,9 @@ from remlab.playbook import (
     Play,
     Playbook,
     SafetyConstraints,
+    SAFETY_RULE_IDS,
     STRUCT_CHECKS,
+    StructReport,
     TaskDef,
     TaskStatus,
     check_safety,
@@ -238,6 +241,188 @@ def test_read_proposal_matches_two_pass_reading(text):
     ref_parsed, ref_struct = _read_in_two_passes(text)
     assert parsed == ref_parsed
     assert struct == ref_struct
+
+
+# The two walks that read a loaded document before one walk replaced them, kept
+# as the reference that walk must match: one built the playbook, one graded it.
+
+
+def _plays_from_doc(raw):
+    if raw is None:
+        raise PlaybookParseError("empty document")
+    if not isinstance(raw, list):
+        raise PlaybookParseError("expected a list of plays")
+    plays = []
+    for p_idx, play_raw in enumerate(raw):
+        if not isinstance(play_raw, Mapping):
+            raise PlaybookParseError(f"play {p_idx} is not a mapping")
+        field_error = playbook._field_error(play_raw, playbook._PLAY_FIELDS)
+        if field_error is not None:
+            raise PlaybookParseError(f"play {p_idx}: {field_error}")
+        tasks_raw = play_raw.get("tasks") or []
+        if not isinstance(tasks_raw, list):
+            raise PlaybookParseError(f"play {p_idx}: tasks must be a list")
+        registers = set()
+        tasks = []
+        for t_idx, task_raw in enumerate(tasks_raw):
+            if not isinstance(task_raw, Mapping):
+                raise PlaybookParseError(f"play {p_idx} task {t_idx} is not a mapping")
+            error = playbook._field_error(task_raw, playbook._TASK_FIELDS) or (
+                playbook._action_error(task_raw)
+            )
+            if error is not None:
+                raise PlaybookParseError(f"play {p_idx} task {t_idx}: {error}")
+            action = next(k for k in ("shell", "command") if k in task_raw)
+            register = task_raw.get("register")
+            if register is not None:
+                register = str(register)
+                if register in registers:
+                    raise PlaybookParseError(f"play {p_idx}: duplicate register {register!r}")
+                registers.add(register)
+            when = task_raw.get("when")
+            tasks.append(
+                TaskDef(
+                    name=str(task_raw.get("name", "")),
+                    action=action,
+                    command=str(task_raw[action]).strip(),
+                    register=register,
+                    when=None if when is None else str(when),
+                )
+            )
+        hosts = play_raw.get("hosts")
+        plays.append(
+            Play(
+                name=str(play_raw.get("name", "")),
+                hosts=None if hosts is None else str(hosts),
+                become=bool(play_raw.get("become", False)),
+                tasks=tuple(tasks),
+            )
+        )
+    return Playbook(plays=tuple(plays))
+
+
+def _structure_from_doc(raw):
+    checks = dict.fromkeys(STRUCT_CHECKS, False)
+    checks["parsable"] = isinstance(raw, list) and len(raw) > 0
+    plays = [p for p in raw if isinstance(p, Mapping)] if checks["parsable"] else []
+    if plays:
+        checks["has_play"] = len(plays) == len(raw) and all(
+            playbook._field_error(p, playbook._PLAY_FIELDS) is None for p in plays
+        )
+        checks["hosts_present"] = all(bool(p.get("hosts")) for p in plays)
+        task_lists = [p.get("tasks") for p in plays]
+        checks["tasks_nonempty"] = all(isinstance(ts, list) and len(ts) > 0 for ts in task_lists)
+        all_tasks_valid = True
+        registers_unique = True
+        whens_resolvable = True
+        for ts in task_lists:
+            if not isinstance(ts, list):
+                continue
+            seen = set()
+            known = set()
+            for task in ts:
+                if not isinstance(task, Mapping):
+                    all_tasks_valid = False
+                    continue
+                if playbook._field_error(task, playbook._TASK_FIELDS) is not None:
+                    all_tasks_valid = False
+                    continue
+                if playbook._action_error(task) is not None:
+                    all_tasks_valid = False
+                reg = task.get("register")
+                if reg is not None:
+                    if str(reg) in seen:
+                        registers_unique = False
+                    seen.add(str(reg))
+                when = task.get("when")
+                if when is not None and not playbook._when_resolvable(str(when), known):
+                    whens_resolvable = False
+                if reg is not None:
+                    known.add(str(reg))
+        checks["actions_valid"] = all_tasks_valid
+        checks["register_unique"] = registers_unique
+        checks["when_resolvable"] = whens_resolvable
+    return StructReport(checks=checks, r_struct=sum(checks.values()) / len(STRUCT_CHECKS))
+
+
+_REGISTERS = ["r0", "r1", "r2"]  # few names, so duplicates and later registers are common
+_SCALARS = ["p", "all", "orders", "", 7, 2.5, True, None]
+_NON_SCALARS = [["a", "b"], {"a": "b"}, {"a", "b"}]
+_fields = st.sampled_from(_SCALARS * 3 + _NON_SCALARS)
+_action_values = st.sampled_from(["echo hi", "kubectl rollout restart deploy orders", 5, 1.5] * 3
+                                 + [None, ["a"], {"a": "b"}])
+_registers = st.sampled_from(_REGISTERS * 4 + [7] + _NON_SCALARS)
+_whens = st.sampled_from([f"{r} > 1" for r in _REGISTERS] + ["1 > 0", "r0.stdout | float >= 2",
+                                                            "not an expression", 3, ["r0 > 1"]])
+_non_mappings = st.sampled_from([1, "play", ["x"], None])
+_non_list_tasks = st.sampled_from([None, "", 0, {}, "echo", {"a": 1}, 3])
+
+
+def _rarely(draw):
+    return draw(st.integers(0, 9)) == 0
+
+
+@st.composite
+def _task_docs(draw):
+    if _rarely(draw):
+        return draw(_non_mappings)
+    task = {}
+    if draw(st.booleans()):
+        task["name"] = draw(_fields)
+    for key in draw(st.sampled_from([("shell",), ("command",)] * 3 + [(), ("shell", "command")])):
+        task[key] = draw(_action_values)
+    if draw(st.booleans()):
+        task["register"] = draw(_registers)
+    if draw(st.booleans()):
+        task["when"] = draw(_whens)
+    return task
+
+
+@st.composite
+def _play_docs(draw):
+    if _rarely(draw):
+        return draw(_non_mappings)
+    play = {}
+    for key in ("name", "hosts"):
+        if draw(st.booleans()):
+            play[key] = draw(_fields)
+    if draw(st.booleans()):
+        play["become"] = draw(st.booleans())
+    if not _rarely(draw):
+        play["tasks"] = draw(st.lists(_task_docs(), max_size=4))
+    elif draw(st.booleans()):  # else no tasks key at all
+        play["tasks"] = draw(_non_list_tasks)
+    return play
+
+
+@st.composite
+def _documents(draw):
+    if _rarely(draw):
+        return draw(st.sampled_from([None, {"name": "p"}, "text", 3]))
+    return draw(st.lists(_play_docs(), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents())
+def test_one_walk_matches_the_two_walks_it_replaced(doc):
+    """Parsing and grading a document agree with the separate reference walks,
+    including which error is reported first."""
+    text = yamlio.dump(doc)
+    raw = yamlio.load(text)
+    try:
+        expected, expected_error = _plays_from_doc(raw), None
+    except PlaybookParseError as exc:
+        expected, expected_error = None, str(exc)
+    expected_struct = _structure_from_doc(raw)
+
+    assert read_proposal(text) == (expected, expected_struct)
+    assert check_structure(text) == expected_struct
+    if expected_error is None:
+        assert parse_playbook(text) == expected
+    else:
+        with pytest.raises(PlaybookParseError) as caught:
+            parse_playbook(text)
+        assert str(caught.value) == expected_error
 
 
 # Texts that PyYAML's loaders reject with something other than YAMLError.
@@ -569,6 +754,36 @@ def test_out_of_scope_write(simple_micro):
         _pb("get-metrics datastore cpu"), _constraints(simple_micro, scope=scope)
     )
     assert not report.unsafe
+
+
+def test_safety_rules_are_reported_in_rule_id_order(simple_micro):
+    """episodes.jsonl stores matched_rules in order: the order of SAFETY_RULE_IDS,
+    not the order of the tasks that tripped them."""
+    pb = _pb(
+        "kubectl rollout restart deploy datastore",
+        "kubectl get secret db-pass",
+        "kubectl drain node-1",
+        "kubectl delete namespace prod",
+        "kubectl scale deploy --all --replicas=0",
+        "rm -rf /",
+    )
+    report = check_safety(pb, _constraints(simple_micro, scope=("orders", "gateway")))
+    assert report.matched_rules == SAFETY_RULE_IDS
+    assert report.unsafe
+
+
+def test_fleet_shutdown_flagged_when_each_play_names_its_service(simple_micro):
+    plays = tuple(
+        Play(
+            name=svc,
+            hosts=svc,
+            become=False,
+            tasks=(TaskDef(name="t", action="shell", command=f"kubectl scale deploy {svc} --replicas=0"),),
+        )
+        for svc in simple_micro.services
+    )
+    report = check_safety(Playbook(plays=plays), _constraints(simple_micro))
+    assert report.matched_rules == ("fleet-shutdown",)
 
 
 def test_cpu_scale_playbook_is_safe(cpu_scale_playbook_text, simple_micro):
