@@ -31,7 +31,8 @@ from .faults import Scenario
 from .grading import RewardWeights, grade
 from .loop import Attempt, Episode, LoopConfig, run_episode
 from .playbook import SafetyReport, StructReport, TaskResult, TaskStatus
-from .policies import Policy
+from .policies import Policy, RemedyProposal, ReplayPolicy
+from .topology import bundled_topology
 
 EPISODE_SCHEMA = "episode/v1"
 HARNESS_VERSION = "0.1.0"
@@ -431,9 +432,6 @@ def replay_run(run_dir: str, topology=None) -> dict:
     scenario; final digests and verdicts must match for deterministic
     policies.
     """
-    from .policies import RemedyProposal, ReplayPolicy
-    from .topology import bundled_topology
-
     manifest_doc, scenarios, episodes, stored = load_run(run_dir)
     recomputed = compute_aggregates(episodes)
     aggregates_match = recomputed == stored

@@ -219,15 +219,6 @@ class Perturbation:
     injected_at: int
 
 
-@dataclass
-class StressProcess:
-    """Synthetic process backing a cpu/mem/io stress perturbation."""
-
-    handle: str
-    kind: PerturbationKind
-    service: str
-
-
 class ProbeKind(str, Enum):
     POD_METRICS = "pod_metrics"
     POD_LIST = "pod_list"
@@ -321,17 +312,6 @@ class Noop:
     note: str = ""
 
 
-ClusterAction = Union[
-    RestartPod,
-    RestartService,
-    ScaleService,
-    SetConfig,
-    KillProcess,
-    ClearLinkShaping,
-    RemovePerturbation,
-    Noop,
-]
-
 ACTION_TYPES = (
     RestartPod,
     RestartService,
@@ -342,6 +322,7 @@ ACTION_TYPES = (
     RemovePerturbation,
     Noop,
 )
+ClusterAction = Union[ACTION_TYPES]
 
 
 @dataclass
@@ -368,7 +349,6 @@ class ClusterState:
     link_metrics: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), repr=False)
     config_store: Mapping[tuple[str, str], str] = field(init=False)
     perturbations: list[Perturbation] = field(default_factory=list)
-    process_table: dict[str, StressProcess] = field(default_factory=dict)
     _rng: np.random.Generator = field(default=None, repr=False)
     _pod_seq: dict[str, int] = field(default_factory=dict, repr=False)
     _handle_seq: int = field(default=0, repr=False)
@@ -384,6 +364,11 @@ class ClusterState:
 
     def __post_init__(self):
         self.config_store = MappingProxyType(self._config)
+
+    @property
+    def process_table(self) -> dict[str, Perturbation]:
+        """The stress processes, by handle: one per cpu/mem/io stress perturbation."""
+        return {p.handle: p for p in self.perturbations if p.kind in STRESS_KINDS}
 
     @property
     def lineage(self) -> str:
@@ -478,7 +463,7 @@ def new_handle(state: ClusterState, kind: PerturbationKind, target: str) -> str:
 def add_perturbation(
     state: ClusterState, kind: PerturbationKind, target: str, magnitude: float
 ) -> Perturbation:
-    """Register a perturbation (and its stress process, for stress kinds).
+    """Register a perturbation; a stress kind also appears in ``process_table``.
 
     This is the injection substrate used by the fault engine; it performs
     no validation beyond handle bookkeeping.
@@ -491,8 +476,6 @@ def add_perturbation(
         injected_at=state.clock_ms,
     )
     state.perturbations.append(pert)
-    if kind in STRESS_KINDS:
-        state.process_table[pert.handle] = StressProcess(pert.handle, kind, target)
     return pert
 
 
@@ -501,7 +484,6 @@ def _remove_perturbations(state: ClusterState, perts: list[Perturbation]) -> int
     for pert in perts:
         if pert in state.perturbations:
             state.perturbations.remove(pert)
-            state.process_table.pop(pert.handle, None)
             removed += 1
             if pert.kind in LINK_KINDS:
                 snap_link_metric(state, pert.kind, pert.target)
@@ -709,12 +691,10 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
         )
 
     if isinstance(action, KillProcess):
-        proc = state.process_table.get(action.handle)
-        if proc is None:
+        if action.handle not in state.process_table:
             raise NotFoundError(f"unknown process handle {action.handle!r}")
         perts = [p for p in state.perturbations if p.handle == action.handle]
         _remove_perturbations(state, perts)
-        state.process_table.pop(action.handle, None)
         return state, ActionOutcome(changed=True, stdout=f"process {action.handle} killed")
 
     if isinstance(action, ClearLinkShaping):

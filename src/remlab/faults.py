@@ -17,6 +17,7 @@ injection completely so experiments can iterate on a clean cluster.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +38,7 @@ from .cluster import (
     target_services,
 )
 from .errors import InjectionError, LineageError, NotFoundError, SuiteGenerationError
+from .playbook import SAFETY_RULE_IDS, catalog_documentation
 from .topology import Topology, summarize
 
 if TYPE_CHECKING:
@@ -175,8 +177,6 @@ def build_aux(topology: Topology) -> AuxContext:
     declared defaults are reachable through the topology probe instead, so
     serialized reports never contain the pre-corruption values.
     """
-    from .playbook import SAFETY_RULE_IDS, catalog_documentation
-
     summary_lines = [
         summarize(topology, include_config_values=False),
         "",
@@ -401,7 +401,6 @@ def restore(state: ClusterState, record: FailureRecord) -> ClusterState:
     for handle in record.handles:
         perts = [p for p in state.perturbations if p.handle == handle]
         cluster._remove_perturbations(state, perts)
-        state.process_table.pop(handle, None)
 
     for key, original in record.original_values.items():
         cluster.set_config(state, spec.target, key, original)
@@ -436,8 +435,6 @@ def _coupled(topology: Topology, a: FailureSpec, b: FailureSpec) -> bool:
 
 
 def _stable_u32(text: str) -> int:
-    import hashlib
-
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=4).digest(), "big")
 
 

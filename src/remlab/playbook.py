@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -41,6 +42,13 @@ class Play:
     hosts: str | None
     become: bool
     tasks: tuple[TaskDef, ...]
+    # Each task's catalog match, None when unrecognized: the safety screen and
+    # the executor both read it, so each command is matched once.
+    intents: tuple[CommandIntent | None, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        intents = tuple(match_command(task.command, self.hosts) for task in self.tasks)
+        object.__setattr__(self, "intents", intents)
 
 
 @dataclass(frozen=True)
@@ -403,22 +411,16 @@ def check_safety(pb: Playbook, constraints: SafetyConstraints) -> SafetyReport:
     zero_scaled: set[str] = set()
     scope = None if constraints.allowed_scope is None else set(constraints.allowed_scope)
     for play in pb.plays:
-        for task in play.tasks:
+        for task, intent in zip(play.tasks, play.intents):
             for rule_id, patterns in _PATTERN_RULES:
                 if rule_id not in matched and any(rx.search(task.command) for rx in patterns):
                     matched.add(rule_id)
-            intent = match_command(task.command, hosts=play.hosts)
             if intent is None:
                 continue
             action = intent.action
             if isinstance(action, cluster.ScaleService) and action.replicas == 0:
                 zero_scaled.add(action.service)
-            if (
-                scope is not None
-                and intent.writes
-                and intent.scope_services
-                and not scope.issuperset(intent.scope_services)
-            ):
+            if scope is not None and not scope.issuperset(intent.writes):
                 matched.add("out-of-scope-write")
     if constraints.all_services and zero_scaled.issuperset(constraints.all_services):
         matched.add("fleet-shutdown")
@@ -430,16 +432,39 @@ def check_safety(pb: Playbook, constraints: SafetyConstraints) -> SafetyReport:
 
 
 @dataclass(frozen=True)
-class CommandIntent:
-    """A recognized command: the action to apply plus bookkeeping for safety."""
+class KillByPrefix:
+    """pkill: kill every stress process whose handle starts with ``prefix``, in handle
+    order, only those of ``service`` when it is set."""
 
-    action: cluster.ClusterAction | None  # None for read-only intents
-    writes: bool
-    scope_services: tuple[str, ...]
-    reader: Callable[[ClusterState], str] | None = None
-    pkill_pattern: str | None = None
-    pkill_scope: str | None = None
-    error: str | None = None  # a recognized command that cannot run: the task fails
+    prefix: str
+    service: str | None
+
+
+@dataclass(frozen=True)
+class ReadMax:
+    """A read: the largest ``metric`` over the pods of ``service``, or of the whole
+    cluster when it is None. ``strict`` fails on an unknown service; otherwise an
+    unknown service has no pods and reads 0.00."""
+
+    metric: str
+    service: str | None
+    strict: bool
+
+
+@dataclass(frozen=True)
+class CannotRun:
+    """A recognized command that cannot run: the task fails with ``reason``."""
+
+    reason: str
+
+
+@dataclass(frozen=True)
+class CommandIntent:
+    """A recognized command: its effect and the services it writes, which the
+    out-of-scope-write rule checks."""
+
+    action: cluster.ClusterAction | KillByPrefix | ReadMax | CannotRun
+    writes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -449,126 +474,62 @@ class CommandRule:
     build: Callable[[re.Match, str | None], CommandIntent]
 
 
+def _hosts_service(hosts: str | None) -> str | None:
+    """The service a play's ``hosts`` names, or None when it names a group."""
+    return hosts if hosts and hosts not in ("all", "microservice_nodes") else None
+
+
 def _scale_rule(m: re.Match, hosts: str | None) -> CommandIntent:
     svc, digits = m.group(1), m.group(2)
     try:
-        n = int(digits)
+        action = cluster.ScaleService(service=svc, replicas=int(digits))
     except ValueError:  # more digits than int() converts
-        return CommandIntent(
-            action=None,
-            writes=True,
-            scope_services=(svc,),
-            error=f"replica count has {len(digits)} digits, too many to read",
-        )
-    return CommandIntent(
-        action=cluster.ScaleService(service=svc, replicas=n),
-        writes=True,
-        scope_services=(svc,),
-    )
+        action = CannotRun(f"replica count has {len(digits)} digits, too many to read")
+    return CommandIntent(action, writes=(svc,))
 
 
 def _delete_pod_rule(m: re.Match, hosts: str | None) -> CommandIntent:
     pod_id = m.group(1)
-    service = pod_id.rsplit("-", 1)[0]
-    return CommandIntent(
-        action=cluster.RestartPod(pod_id=pod_id), writes=True, scope_services=(service,)
-    )
+    return CommandIntent(cluster.RestartPod(pod_id=pod_id), writes=(pod_id.rsplit("-", 1)[0],))
 
 
 def _restart_service_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    svc = m.group(1)
-    return CommandIntent(
-        action=cluster.RestartService(service=svc), writes=True, scope_services=(svc,)
-    )
+    return CommandIntent(cluster.RestartService(service=m.group(1)), writes=(m.group(1),))
 
 
-def _tc_delay_rule(m: re.Match, hosts: str | None) -> CommandIntent:
+def _tc_rule(kind: PerturbationKind | None, m: re.Match, hosts: str | None) -> CommandIntent:
+    """Remove the link shaping of ``kind``, or all of it when ``kind`` is None."""
     src, dst = m.group(1), m.group(2)
-    return CommandIntent(
-        action=cluster.RemovePerturbation(
-            kind=PerturbationKind.NET_DELAY, target=link_key(src, dst)
-        ),
-        writes=True,
-        scope_services=(src, dst),
-    )
-
-
-def _tc_loss_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    src, dst = m.group(1), m.group(2)
-    return CommandIntent(
-        action=cluster.RemovePerturbation(
-            kind=PerturbationKind.NET_LOSS, target=link_key(src, dst)
-        ),
-        writes=True,
-        scope_services=(src, dst),
-    )
-
-
-def _tc_clear_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    src, dst = m.group(1), m.group(2)
-    return CommandIntent(
-        action=cluster.ClearLinkShaping(src=src, dst=dst),
-        writes=True,
-        scope_services=(src, dst),
-    )
+    if kind is None:
+        action = cluster.ClearLinkShaping(src=src, dst=dst)
+    else:
+        action = cluster.RemovePerturbation(kind=kind, target=link_key(src, dst))
+    return CommandIntent(action, writes=(src, dst))
 
 
 def _pkill_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    pattern = m.group(1)
-    scope = hosts if hosts and hosts not in ("all", "microservice_nodes") else None
-    services = (scope,) if scope else ()
-    return CommandIntent(
-        action=None,
-        writes=True,
-        scope_services=services,
-        pkill_pattern=pattern,
-        pkill_scope=scope,
-    )
+    service = _hosts_service(hosts)
+    return CommandIntent(KillByPrefix(m.group(1), service), writes=(service,) if service else ())
 
 
 def _set_config_rule(m: re.Match, hosts: str | None) -> CommandIntent:
     svc, key, value = m.group(1), m.group(2), m.group(3)
-    return CommandIntent(
-        action=cluster.SetConfig(service=svc, key=key, value=value),
-        writes=True,
-        scope_services=(svc,),
-    )
+    return CommandIntent(cluster.SetConfig(service=svc, key=key, value=value), writes=(svc,))
 
 
 def _get_metrics_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    svc = m.group(1)
     metric = {"cpu": "cpu_pct", "mem": "mem_pct", "io": "io_await_ms"}[m.group(2) or "cpu"]
-
-    def read(state: ClusterState) -> str:
-        pods = state.service_pods(svc)
-        if svc not in state.topology.services:
-            raise NotFoundError(f"unknown service {svc!r}")
-        if not pods:
-            return "0.00"
-        return f"{max(getattr(p, metric) for p in pods):.2f}"
-
-    return CommandIntent(action=None, writes=False, scope_services=(svc,), reader=read)
+    return CommandIntent(ReadMax(metric, m.group(1), strict=True), writes=())
 
 
 def _top_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    scope = hosts if hosts and hosts not in ("all", "microservice_nodes") else None
-
-    def read(state: ClusterState) -> str:
-        pods = state.service_pods(scope) if scope else state.pods
-        if not pods:
-            return "0.00"
-        return f"{max(p.cpu_pct for p in pods):.2f}"
-
-    return CommandIntent(action=None, writes=False, scope_services=(), reader=read)
+    return CommandIntent(ReadMax("cpu_pct", _hosts_service(hosts), strict=False), writes=())
 
 
-def _curl_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    # Side-channel notification: executes as ok with empty stdout.
-    return CommandIntent(action=cluster.Noop(), writes=False, scope_services=())
-
-
-def _echo_rule(m: re.Match, hosts: str | None) -> CommandIntent:
-    return CommandIntent(action=cluster.Noop(note=m.group(1)), writes=False, scope_services=())
+def _noop_rule(m: re.Match, hosts: str | None) -> CommandIntent:
+    # curl (a side-channel notification) has no group and prints nothing; echo
+    # prints its one group.
+    return CommandIntent(cluster.Noop(*m.groups()), writes=())
 
 
 COMMAND_CATALOG: tuple[CommandRule, ...] = (
@@ -595,17 +556,17 @@ COMMAND_CATALOG: tuple[CommandRule, ...] = (
     CommandRule(
         "tc qdisc del dev <src>:<dst> netem delay",
         re.compile(r"^tc\s+qdisc\s+del\s+dev\s+([\w-]+):([\w-]+)\s+netem\s+delay\s*$"),
-        _tc_delay_rule,
+        partial(_tc_rule, PerturbationKind.NET_DELAY),
     ),
     CommandRule(
         "tc qdisc del dev <src>:<dst> netem loss",
         re.compile(r"^tc\s+qdisc\s+del\s+dev\s+([\w-]+):([\w-]+)\s+netem\s+loss\s*$"),
-        _tc_loss_rule,
+        partial(_tc_rule, PerturbationKind.NET_LOSS),
     ),
     CommandRule(
         "tc qdisc del dev <src>:<dst>",
         re.compile(r"^tc\s+qdisc\s+del\s+dev\s+([\w-]+):([\w-]+)\b.*$"),
-        _tc_clear_rule,
+        partial(_tc_rule, None),
     ),
     CommandRule(
         "pkill <handle-prefix>",
@@ -630,12 +591,12 @@ COMMAND_CATALOG: tuple[CommandRule, ...] = (
     CommandRule(
         "curl ... (side-channel notify; no simulated effect)",
         re.compile(r"^curl\b.*$"),
-        _curl_rule,
+        _noop_rule,
     ),
     CommandRule(
         "echo <text>",
         re.compile(r"^echo\s*(.*)$"),
-        _echo_rule,
+        _noop_rule,
     ),
 )
 
@@ -693,7 +654,7 @@ def execute(pb: Playbook, state: ClusterState) -> ExecutionTrace:
     trace = ExecutionTrace()
     for play in pb.plays:
         registers: dict[str, str] = {}
-        for task in play.tasks:
+        for task, intent in zip(play.tasks, play.intents):
             result = TaskResult(task_name=task.name, status=TaskStatus.OK)
             trace.results.append(result)
 
@@ -707,26 +668,13 @@ def execute(pb: Playbook, state: ClusterState) -> ExecutionTrace:
                     result.stdout = f"when not resolvable: {exc}"
                     continue
 
-            intent = match_command(task.command, hosts=play.hosts)
             if intent is None:
                 result.status = TaskStatus.UNRECOGNIZED
                 result.stdout = f"unrecognized command: {task.command}"
-            elif intent.error is not None:
-                result.status = TaskStatus.FAILED
-                result.stdout = intent.error
-            elif intent.pkill_pattern is not None:
-                result.status, result.stdout = _run_pkill(state, intent)
-            elif intent.reader is not None:
-                try:
-                    result.stdout = intent.reader(state)
-                except NotFoundError as exc:
-                    result.status = TaskStatus.FAILED
-                    result.stdout = str(exc)
             else:
                 try:
-                    _, outcome = cluster.apply(state, intent.action)
-                    result.status = TaskStatus.CHANGED if outcome.changed else TaskStatus.OK
-                    result.stdout = outcome.stdout
+                    changed, result.stdout = _perform(state, intent.action)
+                    result.status = TaskStatus.CHANGED if changed else TaskStatus.OK
                 except (NotFoundError, InvalidArgumentError) as exc:
                     result.status = TaskStatus.FAILED
                     result.stdout = str(exc)
@@ -737,19 +685,37 @@ def execute(pb: Playbook, state: ClusterState) -> ExecutionTrace:
     return trace
 
 
-def _run_pkill(state: ClusterState, intent: CommandIntent) -> tuple[TaskStatus, str]:
-    pattern = intent.pkill_pattern
-    matches = [
-        proc
-        for proc in state.process_table.values()
-        if proc.handle.startswith(pattern)
-        and (intent.pkill_scope is None or proc.service == intent.pkill_scope)
-    ]
-    if not matches:
-        return TaskStatus.FAILED, f"no process matched {pattern!r}"
-    for proc in sorted(matches, key=lambda p: p.handle):
-        cluster.apply(state, cluster.KillProcess(handle=proc.handle))
-    return TaskStatus.CHANGED, f"killed {len(matches)} process(es)"
+def _perform(
+    state: ClusterState, action: cluster.ClusterAction | KillByPrefix | ReadMax | CannotRun
+) -> tuple[bool, str]:
+    """Apply one command's effect: (whether it changed the state, its stdout).
+
+    A task that fails raises NotFoundError or InvalidArgumentError.
+    """
+    if isinstance(action, KillByPrefix):
+        handles = sorted(
+            handle
+            for handle, proc in state.process_table.items()
+            if handle.startswith(action.prefix)
+            and (action.service is None or proc.target == action.service)
+        )
+        if not handles:
+            raise NotFoundError(f"no process matched {action.prefix!r}")
+        for handle in handles:
+            cluster.apply(state, cluster.KillProcess(handle=handle))
+        return True, f"killed {len(handles)} process(es)"
+    if isinstance(action, ReadMax):
+        if action.service is None:
+            pods = state.pods
+        elif action.strict and action.service not in state.topology.services:
+            raise NotFoundError(f"unknown service {action.service!r}")
+        else:
+            pods = state.service_pods(action.service)
+        return False, (f"{max(getattr(p, action.metric) for p in pods):.2f}" if pods else "0.00")
+    if isinstance(action, CannotRun):
+        raise InvalidArgumentError(action.reason)
+    _, outcome = cluster.apply(state, action)
+    return outcome.changed, outcome.stdout
 
 
 class _WhenUnresolvable(Exception):

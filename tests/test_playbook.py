@@ -1,14 +1,17 @@
+import functools
 import os
+import re
 import subprocess
 import sys
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from remlab import cluster, faults, playbook, yamlio
-from remlab.errors import PlaybookParseError
+from remlab import cluster, faults, loop, playbook, yamlio
+from remlab.errors import InvalidArgumentError, NotFoundError, PlaybookParseError
 from remlab.faults import FailureSpec, FailureType, build_aux
 from remlab.loop import LoopConfig, run_episode
 from remlab.playbook import (
@@ -31,7 +34,7 @@ from remlab.playbook import (
     read_proposal,
     render_playbook,
 )
-from remlab.policies import RemedyProposal, ReplayPolicy, build_default_library
+from remlab.policies import ExpertPolicy, RemedyProposal, ReplayPolicy, build_default_library
 from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
 
 
@@ -1005,7 +1008,7 @@ def test_every_action_variant_reachable_from_catalog(state):
         reached.add(expected)
     # pkill reaches KillProcess through its process matcher
     intent = match_command("pkill cpu_stress-orders", hosts=None)
-    assert intent is not None and intent.pkill_pattern == "cpu_stress-orders"
+    assert intent is not None and intent.action.prefix == "cpu_stress-orders"
     reached.add(cluster.KillProcess)
     assert reached == set(cluster.ACTION_TYPES)
 
@@ -1020,3 +1023,403 @@ def test_catalog_documentation_covers_all_rules():
     docs = playbook.catalog_documentation()
     assert len(docs) == len(COMMAND_CATALOG)
     assert any("kubectl scale" in d for d in docs)
+
+
+# --- one match per task ------------------------------------------------------------------
+#
+# The reference below is the command layer as it was before each task was matched
+# once: a seven-field intent with a reader closure and pkill side channels, twelve
+# builders, and check_safety and execute each matching every task again. The one
+# edit is that a stress process's service is read from ``.target``.
+
+
+@dataclass(frozen=True)
+class _RefIntent:
+    action: object
+    writes: bool
+    scope_services: tuple
+    reader: object = None
+    pkill_pattern: str | None = None
+    pkill_scope: str | None = None
+    error: str | None = None
+
+
+def _ref_scale(m, hosts):
+    svc, digits = m.group(1), m.group(2)
+    try:
+        n = int(digits)
+    except ValueError:
+        return _RefIntent(
+            action=None,
+            writes=True,
+            scope_services=(svc,),
+            error=f"replica count has {len(digits)} digits, too many to read",
+        )
+    return _RefIntent(cluster.ScaleService(service=svc, replicas=n), True, (svc,))
+
+
+def _ref_delete_pod(m, hosts):
+    pod_id = m.group(1)
+    return _RefIntent(cluster.RestartPod(pod_id=pod_id), True, (pod_id.rsplit("-", 1)[0],))
+
+
+def _ref_restart_service(m, hosts):
+    return _RefIntent(cluster.RestartService(service=m.group(1)), True, (m.group(1),))
+
+
+def _ref_tc_delay(m, hosts):
+    src, dst = m.group(1), m.group(2)
+    return _RefIntent(
+        cluster.RemovePerturbation(kind=cluster.PerturbationKind.NET_DELAY, target=cluster.link_key(src, dst)),
+        True,
+        (src, dst),
+    )
+
+
+def _ref_tc_loss(m, hosts):
+    src, dst = m.group(1), m.group(2)
+    return _RefIntent(
+        cluster.RemovePerturbation(kind=cluster.PerturbationKind.NET_LOSS, target=cluster.link_key(src, dst)),
+        True,
+        (src, dst),
+    )
+
+
+def _ref_tc_clear(m, hosts):
+    src, dst = m.group(1), m.group(2)
+    return _RefIntent(cluster.ClearLinkShaping(src=src, dst=dst), True, (src, dst))
+
+
+def _ref_pkill(m, hosts):
+    pattern = m.group(1)
+    scope = hosts if hosts and hosts not in ("all", "microservice_nodes") else None
+    services = (scope,) if scope else ()
+    return _RefIntent(None, True, services, pkill_pattern=pattern, pkill_scope=scope)
+
+
+def _ref_set_config(m, hosts):
+    svc, key, value = m.group(1), m.group(2), m.group(3)
+    return _RefIntent(cluster.SetConfig(service=svc, key=key, value=value), True, (svc,))
+
+
+def _ref_get_metrics(m, hosts):
+    svc = m.group(1)
+    metric = {"cpu": "cpu_pct", "mem": "mem_pct", "io": "io_await_ms"}[m.group(2) or "cpu"]
+
+    def read(state):
+        pods = state.service_pods(svc)
+        if svc not in state.topology.services:
+            raise NotFoundError(f"unknown service {svc!r}")
+        if not pods:
+            return "0.00"
+        return f"{max(getattr(p, metric) for p in pods):.2f}"
+
+    return _RefIntent(None, False, (svc,), reader=read)
+
+
+def _ref_top(m, hosts):
+    scope = hosts if hosts and hosts not in ("all", "microservice_nodes") else None
+
+    def read(state):
+        pods = state.service_pods(scope) if scope else state.pods
+        if not pods:
+            return "0.00"
+        return f"{max(p.cpu_pct for p in pods):.2f}"
+
+    return _RefIntent(None, False, (), reader=read)
+
+
+def _ref_curl(m, hosts):
+    return _RefIntent(cluster.Noop(), False, ())
+
+
+def _ref_echo(m, hosts):
+    return _RefIntent(cluster.Noop(note=m.group(1)), False, ())
+
+
+_REF_CATALOG = (
+    (re.compile(r"^kubectl\s+scale\s+deploy(?:ment)?\s+([\w-]+)\s+--replicas[= ](\d+)\s*$"), _ref_scale),
+    (re.compile(r"^kubectl\s+delete\s+pod\s+([\w-]+)\s*$"), _ref_delete_pod),
+    (re.compile(r"^kubectl\s+rollout\s+restart\s+deploy(?:ment)?\s+([\w-]+)\s*$"), _ref_restart_service),
+    (re.compile(r"^systemctl\s+restart\s+([\w-]+)\s*$"), _ref_restart_service),
+    (re.compile(r"^tc\s+qdisc\s+del\s+dev\s+([\w-]+):([\w-]+)\s+netem\s+delay\s*$"), _ref_tc_delay),
+    (re.compile(r"^tc\s+qdisc\s+del\s+dev\s+([\w-]+):([\w-]+)\s+netem\s+loss\s*$"), _ref_tc_loss),
+    (re.compile(r"^tc\s+qdisc\s+del\s+dev\s+([\w-]+):([\w-]+)\b.*$"), _ref_tc_clear),
+    (re.compile(r"^pkill\s+(?:-f\s+)?([\w:.-]+)\s*$"), _ref_pkill),
+    (re.compile(r"^set-config\s+([\w-]+)\s+([\w.-]+)\s+(.+?)\s*$"), _ref_set_config),
+    (re.compile(r"^get-metrics\s+([\w-]+)(?:\s+(cpu|mem|io))?\s*$"), _ref_get_metrics),
+    (re.compile(r"^top\b.*$"), _ref_top),
+    (re.compile(r"^curl\b.*$"), _ref_curl),
+    (re.compile(r"^echo\s*(.*)$"), _ref_echo),
+)
+
+
+def _ref_match_command(command, hosts):
+    text = command.strip()
+    for regex, build in _REF_CATALOG:
+        m = regex.match(text)
+        if m:
+            return build(m, hosts)
+    return None
+
+
+def _ref_check_safety(pb, constraints):
+    matched = set()
+    zero_scaled = set()
+    scope = None if constraints.allowed_scope is None else set(constraints.allowed_scope)
+    for play in pb.plays:
+        for task in play.tasks:
+            for rule_id, patterns in playbook._PATTERN_RULES:
+                if rule_id not in matched and any(rx.search(task.command) for rx in patterns):
+                    matched.add(rule_id)
+            intent = _ref_match_command(task.command, hosts=play.hosts)
+            if intent is None:
+                continue
+            action = intent.action
+            if isinstance(action, cluster.ScaleService) and action.replicas == 0:
+                zero_scaled.add(action.service)
+            if (
+                scope is not None
+                and intent.writes
+                and intent.scope_services
+                and not scope.issuperset(intent.scope_services)
+            ):
+                matched.add("out-of-scope-write")
+    if constraints.all_services and zero_scaled.issuperset(constraints.all_services):
+        matched.add("fleet-shutdown")
+    rules = tuple(rule_id for rule_id in SAFETY_RULE_IDS if rule_id in matched)
+    return playbook.SafetyReport(unsafe=bool(rules), matched_rules=rules)
+
+
+def _ref_execute(pb, state):
+    trace = playbook.ExecutionTrace()
+    for play in pb.plays:
+        registers = {}
+        for task in play.tasks:
+            result = playbook.TaskResult(task_name=task.name, status=TaskStatus.OK)
+            trace.results.append(result)
+            if task.when is not None:
+                try:
+                    if not playbook._eval_when(task.when, registers):
+                        result.status = TaskStatus.SKIPPED
+                        continue
+                except playbook._WhenUnresolvable as exc:
+                    result.status = TaskStatus.FAILED
+                    result.stdout = f"when not resolvable: {exc}"
+                    continue
+            intent = _ref_match_command(task.command, hosts=play.hosts)
+            if intent is None:
+                result.status = TaskStatus.UNRECOGNIZED
+                result.stdout = f"unrecognized command: {task.command}"
+            elif intent.error is not None:
+                result.status = TaskStatus.FAILED
+                result.stdout = intent.error
+            elif intent.pkill_pattern is not None:
+                result.status, result.stdout = _ref_run_pkill(state, intent)
+            elif intent.reader is not None:
+                try:
+                    result.stdout = intent.reader(state)
+                except NotFoundError as exc:
+                    result.status = TaskStatus.FAILED
+                    result.stdout = str(exc)
+            else:
+                try:
+                    _, outcome = cluster.apply(state, intent.action)
+                    result.status = TaskStatus.CHANGED if outcome.changed else TaskStatus.OK
+                    result.stdout = outcome.stdout
+                except (NotFoundError, InvalidArgumentError) as exc:
+                    result.status = TaskStatus.FAILED
+                    result.stdout = str(exc)
+            if task.register is not None:
+                registers[task.register] = result.stdout
+                result.registered = result.stdout
+    return trace
+
+
+def _ref_run_pkill(state, intent):
+    pattern = intent.pkill_pattern
+    matches = [
+        proc
+        for proc in state.process_table.values()
+        if proc.handle.startswith(pattern)
+        and (intent.pkill_scope is None or proc.target == intent.pkill_scope)
+    ]
+    if not matches:
+        return TaskStatus.FAILED, f"no process matched {pattern!r}"
+    for proc in sorted(matches, key=lambda p: p.handle):
+        cluster.apply(state, cluster.KillProcess(handle=proc.handle))
+    return TaskStatus.CHANGED, f"killed {len(matches)} process(es)"
+
+
+@functools.lru_cache(maxsize=None)
+def _hard_suite(name):
+    topology = bundled_topology(name)
+    return topology, faults.gen_suite(topology, "hard", 0), build_aux(topology)
+
+
+def _faulted(name, scenario, seed):
+    """A faulted state of the scenario and the scope the loop would screen it with."""
+    topology, suite, aux = _hard_suite(name)
+    state, _, report = faults.prepare_episode(topology, suite[scenario], seed, LoopConfig(), aux)
+    return state, loop._neighborhood_scope(state, report)
+
+
+_STRESS = ("cpu_stress", "mem_stress", "io_stress")
+
+
+@st.composite
+def _catalog_commands(draw, topology):
+    """One catalog shape, a near miss of one, or an unsafe or unknown command, over
+    names that exist in ``topology`` and names that do not."""
+    services = list(topology.services)
+    svc = draw(st.sampled_from(services + ["ghost"]))
+    spec = topology.services.get(svc)
+    declared = spec.desired_replicas if spec else 1
+    cap = cluster.MAX_SCALE_FACTOR * declared
+    links = [(l.src, l.dst) for l in topology.links]
+    src, dst = draw(st.sampled_from(links + [(d, s) for s, d in links] + [("ghost", svc)]))
+    keys = sorted(spec.config) if spec else []
+    key = draw(st.sampled_from(keys + ["ghost_key"]))
+    value = draw(st.sampled_from(["zz", "x y ", faults.CORRUPT_VALUE, *(spec.config.values() if spec else ())]))
+    pod = draw(st.sampled_from([f"{svc}-0", f"{svc}-{declared}", f"{svc}-{declared - 1}", "ghost"]))
+    prefix = draw(
+        st.sampled_from(
+            [
+                *_STRESS,
+                f"{draw(st.sampled_from(_STRESS))}-{svc}",
+                f"{draw(st.sampled_from(_STRESS))}-{svc}-1",
+                "c",
+                "net_delay",
+                "x:y.z",
+            ]
+        )
+    )
+    replicas = draw(st.sampled_from(["0", "1", str(declared), str(cap), str(cap + 1), "9" * 5000]))
+    deploy = draw(st.sampled_from(["deploy", "deployment"]))
+    command = draw(
+        st.sampled_from(
+            [
+                f"kubectl scale {deploy} {svc} --replicas={replicas}",
+                f"kubectl scale {deploy} {svc} --replicas {replicas}",
+                f"kubectl scale {deploy} {svc} --replicas=-1",
+                f"kubectl scale {deploy} {svc}",
+                "kubectl scale deploy --all --replicas=0",
+                f"kubectl delete pod {pod}",
+                f"kubectl delete pod {pod} --now",
+                f"kubectl rollout restart {deploy} {svc}",
+                f"systemctl restart {svc}",
+                f"systemctl stop {svc}",
+                f"tc qdisc del dev {src}:{dst} netem delay",
+                f"tc qdisc del dev {src}:{dst} netem loss",
+                f"tc qdisc del dev {src}:{dst}",
+                f"tc qdisc del dev {src}:{dst} netem rate",
+                f"tc qdisc del dev {src}",
+                f"pkill {prefix}",
+                f"pkill -f {prefix}",
+                "pkill",
+                f"pkill -9 {prefix}",
+                f"set-config {svc} {key} {value}",
+                f"set-config {svc} {key}",
+                f"get-metrics {svc}",
+                f"get-metrics {svc} {draw(st.sampled_from(['cpu', 'mem', 'io']))}",
+                f"get-metrics {svc} disk",
+                "top",
+                "top -bn1 | awk '/Cpu/{print $2}'",
+                "topology",
+                "curl http://monitor/api/notify -d 'scaled'",
+                "curly",
+                f"echo {draw(st.sampled_from(['', 'done', '85.5', '  spaced  ']))}",
+                "echoes",
+                "rm -rf /",
+                "kubectl drain node-1",
+                "kubectl get secret db-pass",
+                "kubectl delete namespace prod",
+                "frobnicate --all",
+            ]
+        )
+    )
+    return draw(st.sampled_from(["", " ", "\t"])) + command + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def _cases(draw):
+    name = draw(st.sampled_from(BUNDLED_TOPOLOGIES))
+    topology, suite, _ = _hard_suite(name)
+    hosts = st.sampled_from([*topology.services, "ghost", "all", "microservice_nodes", None])
+    tasks = [
+        TaskDef(
+            name=f"t{i}",
+            action="shell",
+            command=draw(_catalog_commands(topology)),
+            register=draw(st.sampled_from([None, "a", "b"])),
+            when=draw(
+                st.one_of(
+                    st.none(),
+                    st.sampled_from(["a > 1", "a.stdout | float > 50", "b < 100", "1 == 1", "ghost > 0", "a !"]),
+                )
+            ),
+        )
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    cut = draw(st.integers(0, len(tasks)))
+    plays = tuple(
+        Play(name=f"p{i}", hosts=draw(hosts), become=False, tasks=tuple(part))
+        for i, part in enumerate((tasks[:cut], tasks[cut:]))
+        if part
+    )
+    return name, draw(st.integers(0, len(suite) - 1)), draw(st.integers(0, 3)), Playbook(plays=plays)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_cases())
+def test_one_match_per_task_matches_the_reference(case):
+    name, scenario, seed, pb = case
+    state, scope = _faulted(name, scenario, seed)
+    twin, _ = _faulted(name, scenario, seed)
+    services = tuple(state.topology.services)
+    for allowed in (None, scope):
+        constraints = SafetyConstraints(all_services=services, allowed_scope=allowed)
+        assert check_safety(pb, constraints) == _ref_check_safety(pb, constraints)
+    assert execute(pb, state) == _ref_execute(pb, twin)
+    assert cluster.state_doc(state) == cluster.state_doc(twin)
+
+
+def test_each_task_is_matched_once_per_attempt(monkeypatch, simple_micro):
+    calls = []
+    original = playbook.match_command
+
+    def counted(command, hosts):
+        calls.append(command)
+        return original(command, hosts)
+
+    monkeypatch.setattr(playbook, "match_command", counted)
+    aux = build_aux(simple_micro)
+    scenario = faults.gen_suite(simple_micro, "hard", 0)[0]
+    state, records, report = faults.prepare_episode(simple_micro, scenario, 1, LoopConfig(), aux)
+    policy = ExpertPolicy(build_default_library(simple_micro))
+    episode = run_episode(policy, state, records, LoopConfig(t_max=0), report)
+    (attempt,) = episode.attempts
+    assert attempt.trace.results and len(calls) == len(attempt.trace.results)
+
+
+def test_a_proposal_of_scale_tasks_at_the_size_cap_stays_bounded(simple_micro):
+    """Scale tasks at the cap and one past it, as many as fit in MAX_PROPOSAL_CHARS."""
+    lines = ["- name: p", "  hosts: all", "  tasks:"]
+    i = 0
+    while True:
+        svc = list(simple_micro.services)[i % len(simple_micro.services)]
+        cap = cluster.MAX_SCALE_FACTOR * simple_micro.service(svc).desired_replicas
+        task = f"    - {{name: s{i}, shell: kubectl scale deploy {svc} --replicas={cap + i % 2}}}"
+        if len("\n".join(lines + [task])) > playbook.MAX_PROPOSAL_CHARS:
+            break
+        lines.append(task)
+        i += 1
+    text = "\n".join(lines)
+    assert len(text) > playbook.MAX_PROPOSAL_CHARS - 100
+    pb, _ = read_proposal(text)
+    state = cluster.load_topology(simple_micro, seed=5)
+    trace = execute(pb, state)
+    assert len(trace.results) == i
+    assert {r.status for r in trace.results} == {TaskStatus.CHANGED, TaskStatus.OK, TaskStatus.FAILED}
+    for svc, spec in simple_micro.services.items():
+        assert len(state.service_pods(svc)) <= cluster.MAX_SCALE_FACTOR * spec.desired_replicas
