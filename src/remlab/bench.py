@@ -440,6 +440,7 @@ def replay_run(run_dir: str, topology=None) -> dict:
         topology = bundled_topology(manifest_doc["topology"])
     manifest = RunManifest.from_doc(manifest_doc)
     scenario_by_id = {s.scenario_id: s for s in scenarios}
+    aux = faults.build_aux(topology)
     digest_matches = 0
     replayed = 0
     for episode in episodes:
@@ -456,7 +457,7 @@ def replay_run(run_dir: str, topology=None) -> dict:
             for a in episode.attempts
         ]
         replay_episode = run_scenario(
-            scenario, topology, manifest, ReplayPolicy(outputs)
+            scenario, topology, manifest, ReplayPolicy(outputs), aux
         )
         replayed += 1
         if (

@@ -99,6 +99,9 @@ _PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
 _RUNNING = _PHASE_CODE[PodPhase.RUNNING]
 _CRASH_LOOP = _PHASE_CODE[PodPhase.CRASH_LOOP]
 
+# The metric columns of pod_metrics and link_metrics, in column order.
+POD_METRICS = ("cpu_pct", "mem_pct", "io_await_ms")
+LINK_METRICS = ("added_delay_ms", "loss_pct")
 # Upper clamps per column: percentages stop at 100, times are unbounded.
 _POD_CEILING = np.array([100.0, 100.0, np.inf])
 _LINK_CEILING = np.array([np.inf, 100.0])
@@ -398,7 +401,7 @@ def load_topology(doc: Topology | str | Mapping, seed: int = 0) -> ClusterState:
     state._rng = np.random.default_rng(seed)
     state._service_index = {spec.name: i for i, spec in enumerate(specs)}
     state._service_baseline = np.array(
-        [x for s in specs for x in (s.baseline.cpu_pct, s.baseline.mem_pct, s.baseline.io_await_ms)]
+        [getattr(s.baseline, m) for s in specs for m in POD_METRICS]
     ).reshape(-1, 3)
     for spec in specs:
         state._pod_seq[spec.name] = 0
@@ -790,3 +793,35 @@ def digest(
 
 def in_band(value: float, center: float, band: float = RECOVERY_BAND) -> bool:
     return abs(value - center) <= band
+
+
+def nominal(state: ClusterState, target: str, metrics: tuple[str, ...] | None = None) -> bool:
+    """The recovery rule: whether ``target`` looks recovered on ``metrics``.
+
+    A link "src->dst" is nominal when each judged metric is within
+    ``RECOVERY_BAND`` of 0. A service is nominal when it has at least one pod
+    and every pod is Running with each judged metric within the band of the
+    service's baseline. ``metrics`` None judges every metric of the target's
+    kind; ``()`` judges pod phase only. Raises NotFoundError for a target the
+    cluster does not have.
+    """
+    if "->" in target:
+        link = state.find_link(*split_link_key(target))
+        if link is None:
+            raise NotFoundError(f"unknown link {target!r}")
+        for metric in LINK_METRICS if metrics is None else metrics:
+            if not in_band(getattr(link, metric), 0.0):
+                return False
+        return True
+    if target not in state.topology.services:
+        raise NotFoundError(f"unknown service {target!r}")
+    baseline = state.topology.service(target).baseline
+    judged = POD_METRICS if metrics is None else metrics
+    pods = state.service_pods(target)
+    for pod in pods:
+        if pod.phase != PodPhase.RUNNING:
+            return False
+        for metric in judged:
+            if not in_band(getattr(pod, metric), getattr(baseline, metric)):
+                return False
+    return bool(pods)

@@ -32,7 +32,6 @@ from .cluster import (
     PodPhase,
     METRIC_OF,
     RECOVERY_BAND,
-    in_band,
     link_key,
     split_link_key,
     target_services,
@@ -346,40 +345,23 @@ def prepare_episode(
 def oracle_verify(state: ClusterState, record: FailureRecord) -> bool:
     """Ground-truth check that the injected fault is fully remediated.
 
-    Inspects only the injected target: cause removed and observable
-    recovered. Immediately after injection this is False; after restore it
-    is True, for every failure type.
+    Inspects only the injected target: the cause is gone (config restored,
+    or no active perturbation of the kind) and the target is nominal on the
+    metric the kind drives, or on pod phase alone for pod_kill and
+    config_error. Immediately after injection this is False; after restore
+    it is True, for every failure type.
     """
     _check_lineage(state, record)
     spec = record.spec
-
+    kind = spec.row.kind
     if spec.ftype == FailureType.CONFIG_ERROR:
         for key, original in record.original_values.items():
             if state.config_store.get((spec.target, key)) != original:
                 return False
-        return _pods_running(state, spec.target)
-
-    kind = spec.row.kind
-    if state.active(kind, spec.target):
+    elif state.active(kind, spec.target):
         return False
-
-    if spec.ftype in NETWORK_TYPES:
-        link = state.find_link(*split_link_key(spec.target))
-        return link is not None and in_band(getattr(link, METRIC_OF[kind].name), 0.0)
-
-    if not _pods_running(state, spec.target):
-        return False
-    if kind not in METRIC_OF:  # pod_kill
-        return True
-    # Resource stress: the stressed metric is back in band too.
-    metric = METRIC_OF[kind].name
-    baseline = getattr(state.topology.service(spec.target).baseline, metric)
-    return all(in_band(getattr(p, metric), baseline) for p in state.service_pods(spec.target))
-
-
-def _pods_running(state: ClusterState, service: str) -> bool:
-    pods = state.service_pods(service)
-    return bool(pods) and all(p.phase == PodPhase.RUNNING for p in pods)
+    metrics = (METRIC_OF[kind].name,) if kind in METRIC_OF else ()
+    return cluster.nominal(state, spec.target, metrics)
 
 
 def _check_lineage(state: ClusterState, record: FailureRecord) -> None:

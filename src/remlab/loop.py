@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import cluster, faults, playbook
-from .cluster import ClusterState, PodPhase, in_band, split_link_key
+from .cluster import ClusterState
 from .errors import InvalidArgumentError, NotFoundError, TransportError
 from .faults import FailureRecord, FailureReport
 from .playbook import ExecutionTrace, SafetyConstraints, SafetyReport, StructReport
@@ -93,41 +93,12 @@ class Episode:
 
 
 def observable_verify(state: ClusterState, report: FailureReport) -> bool:
-    """Verification without ground truth: reported targets look nominal.
+    """Verification without ground truth: every reported target is nominal
+    on all its metrics (``cluster.nominal``).
 
     Raises NotFoundError for a target the cluster does not have.
     """
-    for target in report.target_service.split(","):
-        if not _target_nominal(state, target):
-            return False
-    return True
-
-
-def _target_nominal(state: ClusterState, target: str) -> bool:
-    """Whether one reported target looks nominal.
-
-    A service needs every pod Running with all metrics inside the baseline
-    band; a link needs its shaping metrics inside the band around zero.
-    """
-    if "->" in target:
-        link = state.find_link(*split_link_key(target))
-        if link is None:
-            raise NotFoundError(f"unknown link {target!r}")
-        return in_band(link.added_delay_ms, 0.0) and in_band(link.loss_pct, 0.0)
-    if target not in state.topology.services:
-        raise NotFoundError(f"unknown service {target!r}")
-    baseline = state.topology.service(target).baseline
-    pods = state.service_pods(target)
-    if not pods:
-        return False
-    for pod in pods:
-        if pod.phase != PodPhase.RUNNING or not (
-            in_band(pod.cpu_pct, baseline.cpu_pct)
-            and in_band(pod.mem_pct, baseline.mem_pct)
-            and in_band(pod.io_await_ms, baseline.io_await_ms)
-        ):
-            return False
-    return True
+    return all(cluster.nominal(state, t) for t in report.target_service.split(","))
 
 
 def reflect(inp: PolicyInput, attempt: Attempt, state: ClusterState) -> PolicyInput:
@@ -174,7 +145,7 @@ def _degraded_targets(state: ClusterState, report: FailureReport) -> list[str]:
     out = []
     for target in report.target_service.split(","):
         try:
-            if not _target_nominal(state, target):
+            if not cluster.nominal(state, target):
                 out.append(target)
         except NotFoundError:
             continue

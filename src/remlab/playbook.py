@@ -585,17 +585,17 @@ COMMAND_CATALOG: tuple[CommandRule, ...] = (
     ),
     CommandRule(
         "top ... (reads max cpu_pct of the play's hosts, or cluster-wide)",
-        re.compile(r"^top\b.*$"),
+        re.compile(r"^top(?=\s|$).*$"),
         _top_rule,
     ),
     CommandRule(
         "curl ... (side-channel notify; no simulated effect)",
-        re.compile(r"^curl\b.*$"),
+        re.compile(r"^curl(?=\s|$).*$"),
         _noop_rule,
     ),
     CommandRule(
         "echo <text>",
-        re.compile(r"^echo\s*(.*)$"),
+        re.compile(r"^echo(?=\s|$)\s*(.*)$"),
         _noop_rule,
     ),
 )

@@ -22,7 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from . import cluster, yamlio
-from .cluster import ProbeQuery, RECOVERY_BAND, split_link_key, target_services
+from .cluster import (
+    LINK_METRICS,
+    POD_METRICS,
+    ProbeQuery,
+    in_band,
+    split_link_key,
+    target_services,
+)
 from .errors import InvalidArgumentError, TranscriptExhaustedError
 from .faults import (
     AuxContext,
@@ -158,27 +165,11 @@ class TemplateLibrary:
     def play_doc(self, action_id: int, ftype: FailureType, target: str) -> dict:
         """Render one template into a play document for the given fault."""
         template = self.templates[action_id]
-        topo = self.topology
         svc = target_services(target)[0]
         fixes = template.fixes
 
-        if fixes is not None and ROW_OF[fixes].category == FailureCategory.RESOURCE:
-            kind = ROW_OF[fixes].kind.value
-            return {
-                "name": f"{template.name} on {svc}",
-                "hosts": svc,
-                "become": True,
-                "tasks": [
-                    {"name": "kill stress process", "shell": f"pkill {kind}-{svc}"},
-                    {
-                        "name": "restart service",
-                        "shell": f"kubectl rollout restart deploy {svc}",
-                    },
-                ],
-            }
-
         if fixes in NETWORK_TYPES:
-            src, dst = _fault_link(topo, target)
+            src, dst = _fault_link(self.topology, target)
             qdisc_kind = "loss" if fixes == FailureType.NETWORK_LOSS else "delay"
             return {
                 "name": f"{template.name} on {src}:{dst}",
@@ -192,49 +183,33 @@ class TemplateLibrary:
                 ],
             }
 
-        if fixes == FailureType.POD_FAILURE:
+        if fixes is None:  # distractor: gather diagnostics, change nothing
             return {
                 "name": f"{template.name} on {svc}",
                 "hosts": svc,
-                "become": True,
                 "tasks": [
-                    {
-                        "name": "restart service",
-                        "shell": f"kubectl rollout restart deploy {svc}",
-                    }
+                    {"name": "read cpu", "shell": f"get-metrics {svc} cpu"},
+                    {"name": "read mem", "shell": f"get-metrics {svc} mem"},
                 ],
             }
 
-        if fixes == FailureType.CONFIG_ERROR:
-            spec = topo.service(svc)
-            tasks = [
-                {
-                    "name": f"reset config {key}",
-                    "shell": f"set-config {svc} {key} {spec.config[key]}",
-                }
-                for key in sorted(spec.config)
+        # Remove the cause, if a task can, then restart the service.
+        tasks = []
+        if ROW_OF[fixes].category == FailureCategory.RESOURCE:
+            kind = ROW_OF[fixes].kind.value
+            tasks.append({"name": "kill stress process", "shell": f"pkill {kind}-{svc}"})
+        elif fixes == FailureType.CONFIG_ERROR:
+            config = self.topology.service(svc).config
+            tasks += [
+                {"name": f"reset config {key}", "shell": f"set-config {svc} {key} {config[key]}"}
+                for key in sorted(config)
             ]
-            tasks.append(
-                {
-                    "name": "restart service",
-                    "shell": f"kubectl rollout restart deploy {svc}",
-                }
-            )
-            return {
-                "name": f"{template.name} on {svc}",
-                "hosts": svc,
-                "become": True,
-                "tasks": tasks,
-            }
-
-        # Distractor: gather diagnostics, change nothing.
+        tasks.append({"name": "restart service", "shell": f"kubectl rollout restart deploy {svc}"})
         return {
             "name": f"{template.name} on {svc}",
             "hosts": svc,
-            "tasks": [
-                {"name": "read cpu", "shell": f"get-metrics {svc} cpu"},
-                {"name": "read mem", "shell": f"get-metrics {svc} mem"},
-            ],
+            "become": True,
+            "tasks": tasks,
         }
 
     def render(self, action_id: int, faults: list[tuple[FailureType, str]]) -> str:
@@ -306,7 +281,7 @@ def classify_context(inp: PolicyInput, topology: Topology) -> int:
                 dependency_degraded = dependency_degraded or degraded
         elif "loss_pct" in payload:
             if {payload.get("src"), payload.get("dst")}.intersection(named):
-                if payload["loss_pct"] > RECOVERY_BAND or payload["added_delay_ms"] > RECOVERY_BAND:
+                if not all(in_band(payload[m], 0.0) for m in LINK_METRICS):
                     target_degraded = True
     return _CLASS_INDEX[(ftype, target_degraded, dependency_degraded)]
 
@@ -320,14 +295,22 @@ def _pods_degraded(payload: dict, topology: Topology) -> bool:
         if pod.get("phase") != "Running":
             return True
         if "cpu_pct" not in pod:
-            continue
-        if (
-            abs(pod["cpu_pct"] - baseline.cpu_pct) > RECOVERY_BAND
-            or abs(pod["mem_pct"] - baseline.mem_pct) > RECOVERY_BAND
-            or abs(pod["io_await_ms"] - baseline.io_await_ms) > RECOVERY_BAND
-        ):
-            return True
+            continue  # a pod list reports phase only
+        for m in POD_METRICS:
+            if not in_band(pod[m], getattr(baseline, m)):
+                return True
     return False
+
+
+def context_probes(report: FailureReport, topology: Topology) -> tuple[ProbeQuery, ...]:
+    """The probes a context class is read from: the first reported target's
+    metrics, plus the pods of its service's first dependency, if any."""
+    target = report.target_service.split(",")[0]
+    queries = [_metrics_probe_for(target)]
+    deps = topology.service(target_services(target)[0]).dependencies
+    if deps:
+        queries.append(cluster.pod_metrics_query(deps[0]))
+    return tuple(queries)
 
 
 def _metrics_probe_for(target: str) -> ProbeQuery:
@@ -477,16 +460,10 @@ class ToyPolicy(Policy):
         return int(rng.choice(len(logits), p=_softmax(logits)))
 
     def decide(self, inp: PolicyInput) -> PolicyOutput:
-        faults = report_faults(inp.report)
-        ftype, target = faults[0]
         if not _has_probed(inp):
-            queries = [_metrics_probe_for(target)]
-            svc = target_services(target)[0]
-            deps = self.topology.service(svc).dependencies
-            if deps:
-                queries.append(cluster.pod_metrics_query(deps[0]))
-            return ProbeRequest(queries=tuple(queries))
+            return ProbeRequest(queries=context_probes(inp.report, self.topology))
 
+        faults = report_faults(inp.report)
         f = classify_context(inp, self.topology)
         rng = np.random.default_rng([self.sample_seed, f, inp.attempt_index()])
         a = self.sample(f, rng)

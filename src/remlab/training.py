@@ -35,10 +35,10 @@ from .policies import (
     ExpertPolicy,
     HistoryItem,
     PolicyInput,
-    ProbeRequest,
     TemplateLibrary,
     ToyPolicy,
     classify_context,
+    context_probes,
 )
 from .topology import Topology
 
@@ -252,11 +252,8 @@ def harvest_expert(env: TrainEnv, teacher, n: int, seed: int = 0) -> list[SftExa
 
 def _context_class(env: TrainEnv, state: cluster.ClusterState, report: FailureReport) -> int:
     """Context class as the toy policy would see it on this freshly faulted state."""
-    probe_policy = ToyPolicy.uniform(env.library, env.topology, sample_seed=0)
     inp = PolicyInput(report=report, context=env.aux, history=[])
-    request = probe_policy.decide(inp)
-    assert isinstance(request, ProbeRequest)
-    for query in request.queries:
+    for query in context_probes(report, env.topology):
         try:
             result = cluster.observe(state, query)
             inp.history.append(HistoryItem("probe_result", result.text, dict(result.payload)))

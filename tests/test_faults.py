@@ -1,9 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from remlab import cluster, faults
+from remlab import cluster, faults, loop, playbook
 from remlab.cluster import (
     ClearLinkShaping,
     KillProcess,
@@ -35,6 +35,14 @@ from remlab.faults import (
     restore,
     suite_from_jsonl,
     suite_to_jsonl,
+)
+from remlab.playbook import Play, Playbook, TaskDef
+from remlab.policies import (
+    CONTEXT_CLASSES,
+    HistoryItem,
+    PolicyInput,
+    classify_context,
+    context_probes,
 )
 from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
 
@@ -286,6 +294,229 @@ def test_restore_on_foreign_record_raises(state, simple_micro):
     with pytest.raises(LineageError):
         oracle_verify(state, record)
 
+
+# --- one recovery rule -------------------------------------------------------------
+# The three recovery checks that cluster.nominal replaced, kept as references.
+
+
+def _ref_oracle_verify(state, record):
+    faults._check_lineage(state, record)
+    spec = record.spec
+
+    if spec.ftype == FailureType.CONFIG_ERROR:
+        for key, original in record.original_values.items():
+            if state.config_store.get((spec.target, key)) != original:
+                return False
+        return _ref_pods_running(state, spec.target)
+
+    kind = spec.row.kind
+    if state.active(kind, spec.target):
+        return False
+
+    if spec.ftype in faults.NETWORK_TYPES:
+        link = state.find_link(*cluster.split_link_key(spec.target))
+        return link is not None and cluster.in_band(getattr(link, cluster.METRIC_OF[kind].name), 0.0)
+
+    if not _ref_pods_running(state, spec.target):
+        return False
+    if kind not in cluster.METRIC_OF:  # pod_kill
+        return True
+    metric = cluster.METRIC_OF[kind].name
+    baseline = getattr(state.topology.service(spec.target).baseline, metric)
+    return all(cluster.in_band(getattr(p, metric), baseline) for p in state.service_pods(spec.target))
+
+
+def _ref_pods_running(state, service):
+    pods = state.service_pods(service)
+    return bool(pods) and all(p.phase == PodPhase.RUNNING for p in pods)
+
+
+def _ref_target_nominal(state, target):
+    if "->" in target:
+        link = state.find_link(*cluster.split_link_key(target))
+        if link is None:
+            raise NotFoundError(f"unknown link {target!r}")
+        return cluster.in_band(link.added_delay_ms, 0.0) and cluster.in_band(link.loss_pct, 0.0)
+    if target not in state.topology.services:
+        raise NotFoundError(f"unknown service {target!r}")
+    baseline = state.topology.service(target).baseline
+    pods = state.service_pods(target)
+    if not pods:
+        return False
+    for pod in pods:
+        if pod.phase != PodPhase.RUNNING or not (
+            cluster.in_band(pod.cpu_pct, baseline.cpu_pct)
+            and cluster.in_band(pod.mem_pct, baseline.mem_pct)
+            and cluster.in_band(pod.io_await_ms, baseline.io_await_ms)
+        ):
+            return False
+    return True
+
+
+def _ref_classify_context(inp, topology):
+    ftype, target = report_faults(inp.report)[0]
+    named = cluster.target_services(target)
+    deps = set(topology.service(named[0]).dependencies)
+    target_degraded = False
+    dependency_degraded = False
+    for item in inp.history:
+        if item.kind != "probe_result" or not item.payload:
+            continue
+        payload = item.payload
+        if "pods" in payload and payload.get("service"):
+            degraded = _ref_pods_degraded(payload, topology)
+            if payload["service"] in named:
+                target_degraded = target_degraded or degraded
+            elif payload["service"] in deps:
+                dependency_degraded = dependency_degraded or degraded
+        elif "loss_pct" in payload:
+            if {payload.get("src"), payload.get("dst")}.intersection(named):
+                band = cluster.RECOVERY_BAND
+                if payload["loss_pct"] > band or payload["added_delay_ms"] > band:
+                    target_degraded = True
+    return (ftype, target_degraded, dependency_degraded)
+
+
+def _ref_pods_degraded(payload, topology):
+    service = payload["service"]
+    if service not in topology.services:
+        return False
+    baseline = topology.service(service).baseline
+    band = cluster.RECOVERY_BAND
+    for pod in payload["pods"]:
+        if pod.get("phase") != "Running":
+            return True
+        if "cpu_pct" not in pod:
+            continue
+        if (
+            abs(pod["cpu_pct"] - baseline.cpu_pct) > band
+            or abs(pod["mem_pct"] - baseline.mem_pct) > band
+            or abs(pod["io_await_ms"] - baseline.io_await_ms) > band
+        ):
+            return True
+    return False
+
+
+def _pick(items, focus, which):
+    """An item of ``focus`` for even ``which``, when there is one, else of ``items``."""
+    pool = focus if focus and which % 2 == 0 else items
+    return pool[which // 2 % len(pool)] if pool else None
+
+
+def _catalog_command(state, records, op, which):
+    """One remediation command of kind ``op``. Even ``which`` aims it at what
+    the faults touched: a crashed pod, a faulted service or a faulted link."""
+    named = [svc for r in records for svc in cluster.target_services(r.spec.target)]
+    svc = _pick(list(state.topology.services), named, which)
+    if op == "delete":
+        crashed = [p for p in state.pods if p.phase != PodPhase.RUNNING]
+        pod = _pick(state.pods, crashed, which)
+        return None if pod is None else f"kubectl delete pod {pod.pod_id}"
+    if op == "restart":
+        return f"kubectl rollout restart deploy {svc}"
+    if op == "scale":
+        declared = state.topology.service(svc).desired_replicas
+        return f"kubectl scale deploy {svc} --replicas={(0, 1, declared, declared + 1)[which // 2 % 4]}"
+    if op == "pkill":
+        return f"pkill {_pick(sorted(state.process_table), [], which) or 'cpu_stress-' + svc}"
+    if op == "tc":
+        shaped = [link for link in state.links if any(r.spec.target == link.key for r in records)]
+        link = _pick(state.links, shaped, which)
+        return f"tc qdisc del dev {link.src}:{link.dst} {('netem delay', 'netem loss', '')[which % 3]}"
+    config = state.topology.service(svc).config
+    key = sorted(config)[which % len(config)] if config else "none"
+    return f"set-config {svc} {key} {config[key] if config and which % 3 else 'zz'}"
+
+
+def _assert_recovery_verdicts_agree(state, records, report):
+    topology = state.topology
+    for record in records:
+        assert oracle_verify(state, record) == _ref_oracle_verify(state, record), record.spec
+    targets = report.target_service.split(",")
+    assert loop.observable_verify(state, report) == all(_ref_target_nominal(state, t) for t in targets)
+    assert loop._degraded_targets(state, report) == [
+        t for t in targets if not _ref_target_nominal(state, t)
+    ]
+    inp = PolicyInput(report=report, context=report.aux_context)
+    service = cluster.target_services(targets[0])[0]
+    for query in (*context_probes(report, topology), cluster.pod_list_query(service)):
+        result = cluster.observe(state, query)
+        inp.history.append(HistoryItem("probe_result", result.text, dict(result.payload)))
+    expected = CONTEXT_CLASSES.index(_ref_classify_context(inp, topology))
+    assert classify_context(inp, topology) == expected
+
+
+_REMEDIES = ("delete", "restart", "scale", "pkill", "tc", "set-config")
+
+
+# Each example kills one way of writing the rule wrongly: phase-only records
+# judged on every metric, a link record judged on both link metrics, and a
+# service with no pods taken as nominal.
+@example(
+    name="simple-micro",
+    seed=0,
+    injected=[(FailureType.POD_FAILURE, 0, 0.0), (FailureType.CPU_SATURATION, 0, 1.0)],
+    ops=[("delete", 0)],
+)
+@example(
+    name="simple-micro",
+    seed=0,
+    injected=[(FailureType.NETWORK_DELAY, 0, 0.5), (FailureType.NETWORK_LOSS, 0, 0.5)],
+    ops=[("tc", 0)],
+)
+@example(
+    name="simple-micro",
+    seed=0,
+    injected=[(FailureType.CPU_SATURATION, 0, 1.0)],
+    ops=[("pkill", 0), ("scale", 0)],
+)
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(BUNDLED_TOPOLOGIES),
+    seed=st.integers(0, 3),
+    # Few targets, so two kinds often share a service or a link. The fraction
+    # places the magnitude in its legal range; at 0 a pod kill takes one pod.
+    injected=st.lists(
+        st.tuples(
+            st.sampled_from(ALL_TYPES),
+            st.integers(0, 1),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    # Each operation is a step of dt_ms, or (op, which) for _catalog_command.
+    ops=st.lists(
+        st.one_of(
+            st.sampled_from([500, 1000, 3000]),
+            st.tuples(st.sampled_from(_REMEDIES), st.integers(0, 40)),
+        ),
+        max_size=12,
+    ),
+)
+def test_one_recovery_rule_matches_the_three_it_replaced(name, seed, injected, ops):
+    topology = bundled_topology(name)
+    state = cluster.load_topology(topology, seed=seed)
+    records = []
+    for ftype, which, fraction in injected:
+        targets = faults.candidate_targets(topology, ftype)
+        lo, hi = faults.ROW_OF[ftype].magnitude_range
+        spec = FailureSpec(ftype, targets[which % len(targets)], lo + fraction * (hi - lo))
+        try:
+            records.append(inject(state, spec))
+        except InjectionError:  # that fault is already active on that target
+            continue
+    for _ in range(5):
+        cluster.step(state, 1000)
+    report = composite_report([make_report(r, build_aux(topology)) for r in records])
+    _assert_recovery_verdicts_agree(state, records, report)
+    for op in ops:
+        if isinstance(op, int):
+            cluster.step(state, op)
+        elif (command := _catalog_command(state, records, *op)) is not None:
+            task = TaskDef(name="t", action="shell", command=command)
+            playbook.execute(Playbook(plays=(Play("p", "all", False, (task,)),)), state)
+        _assert_recovery_verdicts_agree(state, records, report)
 
 # --- suites ----------------------------------------------------------------------
 

@@ -1019,6 +1019,21 @@ def test_catalog_first_match_wins():
     assert isinstance(intent.action, cluster.RemovePerturbation)
 
 
+@pytest.mark.parametrize("command", ["top-secret-tool", "curl-config --libs", "echoes hi", "echo-x"])
+def test_a_word_that_only_starts_with_a_command_name_is_unrecognized(command):
+    assert match_command(command, hosts="orders") is None
+
+
+def test_top_curl_and_echo_keep_their_effect_and_stdout(state):
+    commands = ["echo", "echo hi", "curl -X POST x", "top", "top -b -n1", "get-metrics orders cpu"]
+    tasks = tuple(TaskDef(name=c, action="shell", command=c) for c in commands)
+    trace = execute(Playbook(plays=(Play("p", "orders", False, tasks),)), state)
+    assert [r.status for r in trace.results] == [TaskStatus.OK] * len(commands)
+    cpu = trace.results[-1].stdout
+    assert [r.stdout for r in trace.results] == ["", "hi", "", cpu, cpu, cpu]
+    assert all(match_command(c, "orders").writes == () for c in commands)
+
+
 def test_catalog_documentation_covers_all_rules():
     docs = playbook.catalog_documentation()
     assert len(docs) == len(COMMAND_CATALOG)
@@ -1148,9 +1163,9 @@ _REF_CATALOG = (
     (re.compile(r"^pkill\s+(?:-f\s+)?([\w:.-]+)\s*$"), _ref_pkill),
     (re.compile(r"^set-config\s+([\w-]+)\s+([\w.-]+)\s+(.+?)\s*$"), _ref_set_config),
     (re.compile(r"^get-metrics\s+([\w-]+)(?:\s+(cpu|mem|io))?\s*$"), _ref_get_metrics),
-    (re.compile(r"^top\b.*$"), _ref_top),
-    (re.compile(r"^curl\b.*$"), _ref_curl),
-    (re.compile(r"^echo\s*(.*)$"), _ref_echo),
+    (re.compile(r"^top(?=\s|$).*$"), _ref_top),
+    (re.compile(r"^curl(?=\s|$).*$"), _ref_curl),
+    (re.compile(r"^echo(?=\s|$)\s*(.*)$"), _ref_echo),
 )
 
 

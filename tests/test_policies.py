@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from remlab import cluster, faults
+from remlab import cluster, faults, yamlio
 from remlab.errors import TranscriptExhaustedError
 from remlab.faults import FailureSpec, FailureType, build_aux, make_report
 from remlab.policies import (
@@ -19,8 +20,11 @@ from remlab.policies import (
     ToyPolicy,
     classify_context,
     toy_grad_logprob,
+    build_default_library,
+    context_probes,
     toy_logprob,
 )
+from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
 
 SEED = 13
 
@@ -195,3 +199,30 @@ def test_template_library_shape(library):
     assert fixed == set(FailureType)
     distractors = [t for t in library.templates if t.fixes is None]
     assert len(distractors) == 1
+
+
+def test_every_template_render_is_pinned():
+    """Every template against every target a fault type can name, and every service:
+    3,456 renders on the bundled topologies, hashed as they were first pinned."""
+    digest = hashlib.sha256()
+    renders = 0
+    for name in BUNDLED_TOPOLOGIES:
+        topo = bundled_topology(name)
+        library = build_default_library(topo)
+        for ftype in FailureType:
+            for target in faults.candidate_targets(topo, ftype) + list(topo.services):
+                for action_id in range(len(library)):
+                    digest.update(yamlio.dump([library.play_doc(action_id, ftype, target)]).encode())
+                    renders += 1
+    assert renders == 3456
+    assert digest.hexdigest() == "e368c4084751c6375d6fb3d646cc60a56c51ba113b5b51be0a70d9ad222dac89"
+
+
+def test_toy_policy_first_probes_are_the_context_probes(simple_micro, library):
+    spec = FailureSpec(FailureType.CPU_SATURATION, "orders")
+    _, _, inp = _episode_input(simple_micro, spec)
+    request = ToyPolicy.uniform(library, simple_micro).decide(inp)
+    assert request.queries == context_probes(inp.report, simple_micro) == (
+        cluster.pod_metrics_query("orders"),
+        cluster.pod_metrics_query("inventory"),
+    )
