@@ -42,7 +42,7 @@ class TransportError(RemlabError):
 
 
 class EmptyDatasetError(RemlabError):
-    """Harvesting produced no training examples."""
+    """A training input is empty: no scenarios, examples or preference pairs."""
 
 
 class DivergenceError(RemlabError):

@@ -16,6 +16,7 @@ results. Ground-truth injection records are never reachable from here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -403,8 +404,9 @@ class ToyPolicy(Policy):
     theta has one row per context class and one column per template.
     Sampling is a pure function of (sample_seed, context class, attempt
     index), so repeated calls with identical input reproduce the same
-    draw. ``temperature`` > 1 flattens the sampling distribution (used to
-    mine failure cases); log-probabilities always use temperature 1.
+    draw. ``temperature`` must be finite and > 0; above 1 it flattens the
+    sampling distribution (used to mine failure cases). Log-probabilities
+    always use temperature 1.
     """
 
     policy_id = "toy"
@@ -422,6 +424,8 @@ class ToyPolicy(Policy):
             raise InvalidArgumentError(
                 f"theta must have shape ({N_CONTEXT_CLASSES}, {len(library)})"
             )
+        if not 0.0 < temperature < math.inf:
+            raise InvalidArgumentError(f"temperature must be finite and > 0, got {temperature}")
         self.theta = theta
         self.library = library
         self.topology = topology
@@ -455,7 +459,9 @@ class ToyPolicy(Policy):
         grad[a] += 1.0
         return grad
 
-    def sample(self, f: int, rng: np.random.Generator) -> int:
+    def choose(self, f: int, attempt: int) -> int:
+        """The action sampled in context class ``f`` at attempt ``attempt``."""
+        rng = np.random.default_rng([self.sample_seed, f, attempt])
         logits = self.theta[f] / self.temperature
         return int(rng.choice(len(logits), p=_softmax(logits)))
 
@@ -465,8 +471,7 @@ class ToyPolicy(Policy):
 
         faults = report_faults(inp.report)
         f = classify_context(inp, self.topology)
-        rng = np.random.default_rng([self.sample_seed, f, inp.attempt_index()])
-        a = self.sample(f, rng)
+        a = self.choose(f, inp.attempt_index())
         self.last_decisions.append((f, a))
         playbook_text = self.library.render(a, faults)
         template = self.library.templates[a]

@@ -30,7 +30,7 @@ from . import cluster, faults
 from .errors import DivergenceError, EmptyDatasetError, InvalidArgumentError, NotFoundError
 from .faults import AuxContext, FailureReport, Scenario, build_aux, state_seed_for
 from .grading import RewardWeights, grade
-from .loop import LoopConfig, run_episode
+from .loop import Episode, LoopConfig, run_episode
 from .policies import (
     ExpertPolicy,
     HistoryItem,
@@ -92,6 +92,8 @@ class TrainConfig:
             raise InvalidArgumentError("group_size must be >= 2")
         if self.dpo_beta <= 0:
             raise InvalidArgumentError("dpo_beta must be > 0")
+        if self.token_budget <= 0:
+            raise InvalidArgumentError("token_budget must be > 0")
 
 
 @dataclass
@@ -106,6 +108,8 @@ class TrainEnv:
     aux: AuxContext | None = None
 
     def __post_init__(self) -> None:
+        if not self.scenarios:
+            raise EmptyDatasetError("a training env needs at least one scenario")
         if self.aux is None:
             self.aux = build_aux(self.topology)
 
@@ -194,13 +198,61 @@ def _softplus(z: float) -> float:
 # --- rollouts and harvesting ----------------------------------------------------------
 
 
+@dataclass
+class _Node:
+    """One attempt of the memoised rollouts of one (scenario, state seed).
+
+    An inner node holds the context class ``f`` its action is sampled in and
+    one child per sampled action; a node where the episode ended holds
+    ``leaf`` = (episode, final state).
+    """
+
+    f: int = -1
+    children: dict[int, "_Node"] = field(default_factory=dict)
+    leaf: tuple[Episode, cluster.ClusterState] | None = None
+
+
 def rollout(
     env: TrainEnv,
     policy,
     scenario: Scenario,
     state_seed: int,
+    memo: dict | None = None,
 ):
-    """Inject a scenario into a fresh cluster and run one episode."""
+    """Inject a scenario into a fresh cluster and run one episode.
+
+    Returns (episode, final state). ``memo`` is a dict that one stage call
+    creates empty, passes to each of its rollouts and drops on return; all
+    of them must use ``env`` and clones of one policy. With it, a plain
+    ``ToyPolicy`` simulates each distinct rollout once: its episode depends
+    only on (env, scenario, state seed, the action drawn at each attempt),
+    so the memo keeps per (scenario, state seed) a trie whose edges are
+    actions and walks it with ``policy.choose``. A hit extends
+    ``policy.last_decisions`` as the simulation would and returns the
+    cached episode and state, which the caller must not mutate. A miss, or
+    a draw that raises, simulates; other policies, ``ToyPolicy`` subclasses
+    included, always do.
+    """
+    if memo is None or type(policy) is not ToyPolicy:
+        return _simulate(env, policy, scenario, state_seed)
+    key = (scenario, state_seed)
+    hit = _walk(memo.get(key), policy)
+    if hit is not None:
+        leaf, path = hit
+        policy.last_decisions.extend(path)
+        return leaf
+    start = len(policy.last_decisions)
+    episode, state = _simulate(env, policy, scenario, state_seed)
+    if episode.error_tag is None:  # a policy-error can depend on theta, not just the path
+        node = memo.setdefault(key, _Node())
+        for f, a in policy.last_decisions[start:]:
+            node.f = f
+            node = node.children.setdefault(a, _Node())
+        node.leaf = (episode, state)
+    return episode, state
+
+
+def _simulate(env: TrainEnv, policy, scenario: Scenario, state_seed: int):
     state, records, report = faults.prepare_episode(
         env.topology, scenario, state_seed, env.loop_config, env.aux
     )
@@ -208,6 +260,23 @@ def rollout(
         policy, state, records, env.loop_config, report, scenario_id=scenario.scenario_id
     )
     return episode, state
+
+
+def _walk(node: _Node | None, policy: ToyPolicy):
+    """Follow ``policy``'s draws down the trie: (leaf, decisions) or None on a miss.
+
+    A ``ToyPolicy`` proposes once per attempt, so the k-th decision is drawn
+    at attempt k.
+    """
+    path: list[tuple[int, int]] = []
+    while node is not None and node.leaf is None:
+        try:
+            a = policy.choose(node.f, len(path))
+        except Exception:  # inside run_episode any raise is a policy-error; simulate it
+            return None
+        path.append((node.f, a))
+        node = node.children.get(a)
+    return None if node is None else (node.leaf, path)
 
 
 def harvest_expert(env: TrainEnv, teacher, n: int, seed: int = 0) -> list[SftExample]:
@@ -281,10 +350,13 @@ def mine_preference_pairs(
     side and the failed action the rejected side.
     """
     pairs: list[PrefPair] = []
+    memo: dict = {}
     for i in range(n_rollouts):
         scenario = env.scenarios[i % len(env.scenarios)]
         sampler = policy.clone(sample_seed=seed * 100003 + i, temperature=temperature)
-        episode, _ = rollout(env, sampler, scenario, state_seed_for(seed, scenario.scenario_id))
+        episode, _ = rollout(
+            env, sampler, scenario, state_seed_for(seed, scenario.scenario_id), memo
+        )
         if episode.success or not sampler.last_decisions:
             continue
         f, a_minus = sampler.last_decisions[-1]
@@ -379,13 +451,14 @@ def train_stage(
     if config.stage == "sim_rft":
         policy = init_policy.clone()
         rng = np.random.default_rng(config.seed)
+        memo: dict = {}
         for it in range(config.iterations):
             scenario = env.scenarios[int(rng.integers(len(env.scenarios)))]
             members = []
             for k in range(config.group_size):
                 sampler = policy.clone(sample_seed=config.seed * 1000003 + it * 64 + k)
                 episode, _ = rollout(
-                    env, sampler, scenario, state_seed_for(config.seed, scenario.scenario_id)
+                    env, sampler, scenario, state_seed_for(config.seed, scenario.scenario_id), memo
                 )
                 reward = grade(episode, env.weights, token_budget=config.token_budget).total
                 if not sampler.last_decisions:

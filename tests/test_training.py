@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from remlab import faults, training
+from remlab import bench, cluster, faults, training
 from remlab.errors import EmptyDatasetError, InvalidArgumentError
+from remlab.loop import LoopConfig
 from remlab.policies import ExpertPolicy, N_CONTEXT_CLASSES, NoopPolicy, ToyPolicy
 from remlab.training import (
     PrefPair,
@@ -354,3 +357,135 @@ def test_curve_csv_shape(env):
     lines = text.strip().splitlines()
     assert lines[0].startswith("iteration,loss")
     assert len(lines) == len(curve.points) + 1
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_token_budget_must_be_positive(env, library, simple_micro, budget):
+    config = TrainConfig(stage="sim_rft", iterations=3, seed=5, token_budget=budget)
+    with pytest.raises(InvalidArgumentError):
+        config.validate()
+    with pytest.raises(InvalidArgumentError):
+        train_stage(config, env, init_policy=ToyPolicy.uniform(library, simple_micro))
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+def test_temperature_must_be_finite_and_positive(env, library, simple_micro, temperature):
+    with pytest.raises(InvalidArgumentError):
+        ToyPolicy.uniform(library, simple_micro, temperature=temperature)
+    policy = ToyPolicy.uniform(library, simple_micro)
+    with pytest.raises(InvalidArgumentError):
+        policy.clone(temperature=temperature)
+    with pytest.raises(InvalidArgumentError):
+        training.mine_preference_pairs(env, policy, n_rollouts=4, temperature=temperature)
+
+
+def test_env_without_scenarios_is_an_empty_dataset(library, simple_micro):
+    with pytest.raises(EmptyDatasetError):
+        TrainEnv(topology=simple_micro, scenarios=[], library=library)
+
+
+# --- the rollout memo ----------------------------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call appends to the returned list."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_memo_simulates_each_distinct_rollout_once(env, monkeypatch):
+    """Criterion 07's sim_rft and mining chain: every call still goes through
+    ``training.rollout``, but only distinct rollouts are simulated."""
+    sft, _ = train_stage(TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5), env)
+    calls = _counting(monkeypatch, training, "rollout")
+    sims = _counting(monkeypatch, faults, "prepare_episode")
+    grpo, _ = train_stage(
+        TrainConfig(stage="sim_rft", learning_rate=0.5, iterations=150, group_size=8, seed=5),
+        env,
+        init_policy=sft,
+    )
+    assert (len(calls), len(sims)) == (1200, 37)
+    calls.clear()
+    sims.clear()
+    training.mine_preference_pairs(env, grpo, n_rollouts=200, seed=9)
+    assert (len(calls), len(sims)) == (200, 112)
+
+
+class _SubToy(ToyPolicy):
+    pass
+
+
+def test_memo_serves_only_plain_toy_policies(env, library, simple_micro, monkeypatch):
+    sims = _counting(monkeypatch, faults, "prepare_episode")
+    scenario = env.scenarios[0]
+    theta = ToyPolicy.uniform(library, simple_micro).theta
+    memo: dict = {}
+    for policy in (ExpertPolicy(library), _SubToy(theta, library, simple_micro)):
+        first, _ = training.rollout(env, policy, scenario, 3, memo)
+        second, _ = training.rollout(env, policy, scenario, 3, memo)
+        assert first is not second
+    assert len(sims) == 4 and memo == {}
+
+
+def _rollout_view(episode, state, sampler):
+    return bench.episodes_to_jsonl([episode]), list(sampler.last_decisions), cluster.digest(state)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    t_max=st.integers(0, 2),
+    theta_seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+    scale=st.floats(0.0, 4.0),
+    bad=st.none() | st.tuples(st.integers(0, 1), st.sampled_from([math.nan, math.inf])),
+    temperatures=st.lists(st.floats(0.05, 10.0), min_size=1, max_size=2),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 1),  # scenario
+            st.integers(0, 1),  # state seed
+            st.integers(0, 2),  # theta
+            st.integers(0, 1),  # temperature
+            st.integers(0, 3),  # sample seed
+            st.booleans(),  # reuse the sampler made for these draws before
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_memoised_rollouts_equal_fresh_ones(
+    env, library, simple_micro, t_max, theta_seeds, scale, bad, temperatures, calls
+):
+    """Episode bytes, decisions and final state are the same with or without
+    the memo, whatever theta each sampler carries, including a non-finite row
+    in the context class the first attempt is sampled in."""
+    env = dataclasses.replace(env, loop_config=LoopConfig(t_max=t_max))
+    scenarios = env.scenarios[:2]
+    thetas = [
+        np.random.default_rng(seed).normal(scale=scale, size=(N_CONTEXT_CLASSES, len(library)))
+        for seed in theta_seeds
+    ]
+    if bad is not None:
+        index, value = bad
+        state, _, report = faults.prepare_episode(
+            env.topology, scenarios[index], 0, env.loop_config, env.aux
+        )
+        thetas[0][training._context_class(env, state, report)] = value
+    memo: dict = {}
+    pools: tuple[dict, dict] = ({}, {})
+
+    def sampler(pool, theta_i, temp_i, seed, reuse):
+        theta = thetas[theta_i % len(thetas)]
+        temperature = temperatures[temp_i % len(temperatures)]
+        fresh = ToyPolicy(theta, library, simple_micro, sample_seed=seed, temperature=temperature)
+        key = (theta_i % len(thetas), temp_i % len(temperatures), seed)
+        return pool.setdefault(key, fresh) if reuse else fresh
+
+    for scenario_i, state_seed, theta_i, temp_i, seed, reuse in calls:
+        scenario = scenarios[scenario_i]
+        plain = sampler(pools[0], theta_i, temp_i, seed, reuse)
+        cached = sampler(pools[1], theta_i, temp_i, seed, reuse)
+        expected = _rollout_view(*training.rollout(env, plain, scenario, state_seed), plain)
+        got = _rollout_view(*training.rollout(env, cached, scenario, state_seed, memo), cached)
+        assert got == expected
