@@ -20,6 +20,7 @@ The optimizer is plain fixed-rate gradient descent for auditability.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -121,11 +122,12 @@ def sft_loss(policy: ToyPolicy, batch: Sequence[SftExample]) -> tuple[float, np.
     """Mean NLL of expert actions; gradient over the full parameter table."""
     if not batch:
         raise EmptyDatasetError("sft batch is empty")
+    logprob, grad_logprob = _term_cache(policy)
     grad = np.zeros_like(policy.theta)
     loss = 0.0
     for ex in batch:
-        loss -= policy.logprob(ex.context_class, ex.action)
-        grad[ex.context_class] -= policy.grad_logprob(ex.context_class, ex.action)
+        loss -= logprob(ex.context_class, ex.action)
+        grad[ex.context_class] -= grad_logprob(ex.context_class, ex.action)
     n = len(batch)
     return loss / n, grad / n
 
@@ -137,6 +139,7 @@ def grpo_loss(
 
     loss = -sum_i log pi(a_i | f_i) * (R_i - mean_{j in group(i)} R_j)
     """
+    logprob, grad_logprob = _term_cache(policy)
     grad = np.zeros_like(policy.theta)
     loss = 0.0
     for group in groups:
@@ -147,8 +150,8 @@ def grpo_loss(
         baseline = sum(m.reward for m in group.members) / len(group.members)
         for m in group.members:
             advantage = m.reward - baseline
-            loss -= policy.logprob(m.context_class, m.action) * advantage
-            grad[m.context_class] -= policy.grad_logprob(m.context_class, m.action) * advantage
+            loss -= logprob(m.context_class, m.action) * advantage
+            grad[m.context_class] -= grad_logprob(m.context_class, m.action) * advantage
     return loss, grad
 
 
@@ -166,21 +169,33 @@ def dpo_loss(
     """
     if not pairs:
         raise EmptyDatasetError("no preference pairs")
+    logprob, grad_logprob = _term_cache(policy)
+    ref_logprob, _ = _term_cache(ref_policy)
+
+    @functools.cache
+    def term(f: int, preferred: int, rejected: int) -> tuple[float, np.ndarray]:
+        delta_plus = logprob(f, preferred) - ref_logprob(f, preferred)
+        delta_minus = logprob(f, rejected) - ref_logprob(f, rejected)
+        z = beta * (delta_plus - delta_minus)
+        # -log sigmoid(z), and its d/dz, sigmoid(z) - 1
+        dz = _sigmoid(z) - 1.0
+        return _softplus(-z), dz * beta * (grad_logprob(f, preferred) - grad_logprob(f, rejected))
+
     grad = np.zeros_like(policy.theta)
     loss = 0.0
     for pair in pairs:
-        f = pair.context_class
-        delta_plus = policy.logprob(f, pair.preferred) - ref_policy.logprob(f, pair.preferred)
-        delta_minus = policy.logprob(f, pair.rejected) - ref_policy.logprob(f, pair.rejected)
-        z = beta * (delta_plus - delta_minus)
-        loss += _softplus(-z)  # -log sigmoid(z)
-        # d/dz of -log sigmoid(z) is sigmoid(z) - 1
-        dz = _sigmoid(z) - 1.0
-        grad[f] += dz * beta * (
-            policy.grad_logprob(f, pair.preferred) - policy.grad_logprob(f, pair.rejected)
-        )
+        pair_loss, pair_grad = term(pair.context_class, pair.preferred, pair.rejected)
+        loss += pair_loss
+        grad[pair.context_class] += pair_grad
     n = len(pairs)
     return loss / n, grad / n
+
+
+def _term_cache(policy: ToyPolicy):
+    """``policy.logprob`` and ``policy.grad_logprob``, each computed once per
+    (context class, action) for as long as theta is unchanged: one loss call.
+    Repeated pairs then cost a lookup and give the same floats."""
+    return functools.cache(policy.logprob), functools.cache(policy.grad_logprob)
 
 
 def _sigmoid(z: float) -> float:
@@ -222,12 +237,12 @@ def rollout(
     """Inject a scenario into a fresh cluster and run one episode.
 
     Returns (episode, final state). ``memo`` is a dict that one stage call
-    creates empty, passes to each of its rollouts and drops on return; all
-    of them must use ``env`` and clones of one policy. With it, a plain
-    ``ToyPolicy`` simulates each distinct rollout once: its episode depends
-    only on (env, scenario, state seed, the action drawn at each attempt),
-    so the memo keeps per (scenario, state seed) a trie whose edges are
-    actions and walks it with ``policy.choose``. A hit extends
+    (``sim_rft``'s) creates empty, passes to each of its rollouts and drops
+    on return; all of them must use ``env`` and clones of one policy. With
+    it, a plain ``ToyPolicy`` simulates each distinct rollout once: its
+    episode depends only on (env, scenario, state seed, the action drawn at
+    each attempt), so the memo keeps per (scenario, state seed) a trie
+    whose edges are actions and walks it with ``policy.choose``. A hit extends
     ``policy.last_decisions`` as the simulation would and returns the
     cached episode and state, which the caller must not mutate. A miss, or
     a draw that raises, simulates; other policies, ``ToyPolicy`` subclasses
@@ -347,15 +362,18 @@ def mine_preference_pairs(
 
     Rollouts are sampled at an exploration temperature; whenever the policy
     fails a scenario, the scripted corrective action becomes the preferred
-    side and the failed action the rejected side.
+    side and the failed action the rejected side. Every rollout is
+    simulated: at the exploration temperature about half of them are
+    distinct, and how many varies with the seed (96-122 of criterion 07's
+    200 across seeds), so a memo here would save little and make the
+    stage's cost follow the seed.
     """
     pairs: list[PrefPair] = []
-    memo: dict = {}
     for i in range(n_rollouts):
         scenario = env.scenarios[i % len(env.scenarios)]
         sampler = policy.clone(sample_seed=seed * 100003 + i, temperature=temperature)
         episode, _ = rollout(
-            env, sampler, scenario, state_seed_for(seed, scenario.scenario_id), memo
+            env, sampler, scenario, state_seed_for(seed, scenario.scenario_id)
         )
         if episode.success or not sampler.last_decisions:
             continue

@@ -228,6 +228,77 @@ def test_dpo_gradient_matches_finite_differences(library, simple_micro):
     _check_grad(lambda p: dpo_loss(p, ref, pairs, beta=0.25), policy, rel_tol=1e-4)
 
 
+def _per_item_losses(policy, ref, examples, groups, pairs, beta):
+    """The three losses with every term computed afresh for every item."""
+    sft, sft_grad = 0.0, np.zeros_like(policy.theta)
+    for ex in examples:
+        sft -= policy.logprob(ex.context_class, ex.action)
+        sft_grad[ex.context_class] -= policy.grad_logprob(ex.context_class, ex.action)
+    grpo, grpo_grad = 0.0, np.zeros_like(policy.theta)
+    for group in groups:
+        baseline = sum(m.reward for m in group.members) / len(group.members)
+        for m in group.members:
+            advantage = m.reward - baseline
+            grpo -= policy.logprob(m.context_class, m.action) * advantage
+            grpo_grad[m.context_class] -= policy.grad_logprob(m.context_class, m.action) * advantage
+    dpo, dpo_grad = 0.0, np.zeros_like(policy.theta)
+    for pair in pairs:
+        f = pair.context_class
+        delta_plus = policy.logprob(f, pair.preferred) - ref.logprob(f, pair.preferred)
+        delta_minus = policy.logprob(f, pair.rejected) - ref.logprob(f, pair.rejected)
+        z = beta * (delta_plus - delta_minus)
+        dpo += training._softplus(-z)
+        dz = training._sigmoid(z) - 1.0
+        dpo_grad[f] += dz * beta * (
+            policy.grad_logprob(f, pair.preferred) - policy.grad_logprob(f, pair.rejected)
+        )
+    return (
+        (sft / len(examples), sft_grad / len(examples)),
+        (grpo, grpo_grad),
+        (dpo / len(pairs), dpo_grad / len(pairs)),
+    )
+
+
+_item = st.tuples(st.integers(0, 3), st.integers(0, 3))  # few keys, so items repeat
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta_seed=st.integers(0, 2**16),
+    scale=st.floats(0.0, 6.0),
+    examples=st.lists(_item, min_size=1, max_size=20),
+    groups=st.lists(
+        st.lists(st.tuples(_item, st.sampled_from([0.0, 0.5, 1.0, 1.3])), min_size=2, max_size=8),
+        min_size=1,
+        max_size=4,
+    ),
+    pairs=st.lists(st.tuples(_item, st.integers(0, 3)), min_size=1, max_size=20),
+    beta=st.floats(0.01, 5.0),
+)
+def test_losses_equal_their_per_item_sums(
+    library, simple_micro, theta_seed, scale, examples, groups, pairs, beta
+):
+    """Each loss computes a repeated term once per call; loss and gradient
+    bytes equal the sums with every term computed afresh."""
+    policy = _random_policy(library, simple_micro, seed=theta_seed, scale=scale)
+    ref = _random_policy(library, simple_micro, seed=theta_seed + 1, scale=scale)
+    examples = [SftExample(f, "", a) for f, a in examples]
+    groups = [
+        RolloutGroup("g", tuple(RolloutSample(f, a, r) for (f, a), r in members))
+        for members in groups
+    ]
+    pairs = [PrefPair(f, a, b) for (f, a), b in pairs]
+    got = (
+        sft_loss(policy, examples),
+        grpo_loss(policy, groups),
+        dpo_loss(policy, ref, pairs, beta),
+    )
+    expected = _per_item_losses(policy, ref, examples, groups, pairs, beta)
+    for (loss, grad), (want_loss, want_grad) in zip(got, expected):
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 # --- harvesting and stages ---------------------------------------------------------
 
 
@@ -397,7 +468,8 @@ def _counting(monkeypatch, module, name):
 
 def test_memo_simulates_each_distinct_rollout_once(env, monkeypatch):
     """Criterion 07's sim_rft and mining chain: every call still goes through
-    ``training.rollout``, but only distinct rollouts are simulated."""
+    ``training.rollout``; sim_rft simulates only distinct rollouts, mining
+    simulates every one."""
     sft, _ = train_stage(TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5), env)
     calls = _counting(monkeypatch, training, "rollout")
     sims = _counting(monkeypatch, faults, "prepare_episode")
@@ -410,7 +482,7 @@ def test_memo_simulates_each_distinct_rollout_once(env, monkeypatch):
     calls.clear()
     sims.clear()
     training.mine_preference_pairs(env, grpo, n_rollouts=200, seed=9)
-    assert (len(calls), len(sims)) == (200, 112)
+    assert (len(calls), len(sims)) == (200, 200)
 
 
 class _SubToy(ToyPolicy):
