@@ -31,7 +31,7 @@ from .faults import Scenario
 from .grading import RewardWeights, grade
 from .loop import Attempt, Episode, LoopConfig, run_episode
 from .playbook import SafetyReport, StructReport, TaskResult, TaskStatus
-from .policies import Policy, RemedyProposal, ReplayPolicy
+from .policies import Policy, ProbeRequest, RemedyProposal, ReplayPolicy
 from .topology import bundled_topology
 
 EPISODE_SCHEMA = "episode/v1"
@@ -441,21 +441,29 @@ def replay_run(run_dir: str, topology=None) -> dict:
     manifest = RunManifest.from_doc(manifest_doc)
     scenario_by_id = {s.scenario_id: s for s in scenarios}
     aux = faults.build_aux(topology)
+    # A logged no-proposal attempt is replayed as empty probe requests: the
+    # loop asks for budget + 2 decisions before it gives up, and settles none.
+    budget = 0 if manifest.loop.no_probe else manifest.loop.probe_budget
+    no_proposal = [ProbeRequest(queries=())] * (budget + 2)
     digest_matches = 0
     replayed = 0
     for episode in episodes:
         scenario = scenario_by_id.get(episode.scenario_id)
         if scenario is None or episode.error_tag:
             continue
-        outputs = [
-            RemedyProposal(
-                playbook_text=a.playbook_text,
-                reasoning_text="",
-                tokens_in=a.tokens_in,
-                tokens_out=a.tokens_out,
-            )
-            for a in episode.attempts
-        ]
+        outputs = []
+        for a in episode.attempts:
+            if a.error == "no-proposal":
+                outputs += no_proposal
+            else:
+                outputs.append(
+                    RemedyProposal(
+                        playbook_text=a.playbook_text,
+                        reasoning_text="",
+                        tokens_in=a.tokens_in,
+                        tokens_out=a.tokens_out,
+                    )
+                )
         replay_episode = run_scenario(
             scenario, topology, manifest, ReplayPolicy(outputs), aux
         )

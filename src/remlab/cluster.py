@@ -66,7 +66,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import InvalidArgumentError, NotFoundError
-from .topology import Topology, parse_topology, summarize
+from .topology import Topology, summarize
 
 RELAX_TAU_MS = 5000.0
 NOISE_SIGMA = 2.0
@@ -388,14 +388,13 @@ class ClusterState:
         return [p for p in self.perturbations if p.kind == kind and p.target == target]
 
 
-def load_topology(doc: Topology | str | Mapping, seed: int = 0) -> ClusterState:
-    """Boot a cluster from a topology document.
+def load_topology(topology: Topology, seed: int = 0) -> ClusterState:
+    """Boot a cluster from a parsed topology.
 
     One Running pod per desired replica, metrics at their declared
     baselines, clock at zero. The state digest is a pure function of
-    (document, seed).
+    (topology, seed).
     """
-    topology = doc if isinstance(doc, Topology) else parse_topology(doc)
     specs = list(topology.services.values())
     state = ClusterState(topology=topology, seed=seed)
     state._rng = np.random.default_rng(seed)
@@ -742,11 +741,9 @@ def _restart_pods(state: ClusterState, pods: list[PodState]) -> None:
 # --- digest -------------------------------------------------------------------
 
 
-def state_doc(
-    state: ClusterState, *, ignore_clock: bool = False, ignore_restarts: bool = False
-) -> dict:
+def state_doc(state: ClusterState) -> dict:
     """Canonical serializable view of the observable state."""
-    doc = {
+    return {
         "topology": state.topology.name,
         "seed": state.seed,
         "pods": [
@@ -755,7 +752,7 @@ def state_doc(
                 p.service,
                 PHASES[code].value,
                 *metrics,
-                None if ignore_restarts else p.restarts,
+                p.restarts,
             ]
             for p, code, metrics in zip(
                 state.pods, state.pod_phase.tolist(), state.pod_metrics.tolist()
@@ -773,26 +770,18 @@ def state_doc(
             for p in state.perturbations
         ),
         "processes": sorted(state.process_table),
+        "clock_ms": state.clock_ms,
     }
-    if not ignore_clock:
-        doc["clock_ms"] = state.clock_ms
-    return doc
 
 
-def digest(
-    state: ClusterState, *, ignore_clock: bool = False, ignore_restarts: bool = False
-) -> str:
+def digest(state: ClusterState) -> str:
     """Stable 64-bit hash (hex) of the canonical state serialization."""
-    blob = json.dumps(
-        state_doc(state, ignore_clock=ignore_clock, ignore_restarts=ignore_restarts),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    blob = json.dumps(state_doc(state), sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def in_band(value: float, center: float, band: float = RECOVERY_BAND) -> bool:
-    return abs(value - center) <= band
+def in_band(value: float, center: float) -> bool:
+    return abs(value - center) <= RECOVERY_BAND
 
 
 def nominal(state: ClusterState, target: str, metrics: tuple[str, ...] | None = None) -> bool:

@@ -411,11 +411,6 @@ def _independent(topology: Topology, a: FailureSpec, b: FailureSpec) -> bool:
     return not any(topology.adjacent(x, y) for x in sa for y in sb)
 
 
-def _coupled(topology: Topology, a: FailureSpec, b: FailureSpec) -> bool:
-    sa, sb = target_services(a.target), target_services(b.target)
-    return any(x != y and topology.adjacent(x, y) for x in sa for y in sb)
-
-
 def _stable_u32(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=4).digest(), "big")
 

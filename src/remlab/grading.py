@@ -5,7 +5,7 @@
 
 Components come from the episode's final attempt; success is the episode
 verdict. The token-efficiency term rewards concise successful episodes
-only: r_eff = max(0, 1 - tokens_total / token_budget) when the episode
+only: r_eff = max(0, 1 - tokens_total / TOKEN_BUDGET) when the episode
 succeeded, else 0. The safety penalty applies regardless of outcome.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .loop import Episode
 from .playbook import r_exec as trace_r_exec
 
-DEFAULT_TOKEN_BUDGET = 4096
+TOKEN_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,7 @@ def compute_reward(
     )
 
 
-def grade(
-    episode: Episode,
-    weights: RewardWeights | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
-) -> RewardBreakdown:
+def grade(episode: Episode, weights: RewardWeights | None = None) -> RewardBreakdown:
     """Grade a completed episode from its final attempt."""
     weights = weights or RewardWeights()
     if not episode.attempts:
@@ -81,7 +77,7 @@ def grade(
     r_exec = trace_r_exec(final.trace) if final.trace is not None else 0.0
     unsafe = int(final.safety.unsafe)
     tokens_total = episode.tokens_in + episode.tokens_out
-    r_eff = max(0.0, 1.0 - tokens_total / token_budget) if success else 0.0
+    r_eff = max(0.0, 1.0 - tokens_total / TOKEN_BUDGET) if success else 0.0
     total = compute_reward(success, r_struct, r_exec, r_eff, unsafe, weights)
     return RewardBreakdown(
         success=success,

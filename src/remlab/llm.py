@@ -36,6 +36,8 @@ from .playbook import extract_playbook_text
 from .policies import Policy, PolicyInput, PolicyOutput, ProbeRequest, RemedyProposal, render_prompt
 
 DEFAULT_ENV_PREFIX = "REMLAB_LLM"
+# A reply longer than this is a TransportError; no more than one byte past it is read.
+MAX_REPLY_BYTES = 1 << 20
 
 SYSTEM_TEMPLATE = """\
 You are a site reliability engineer remediating a simulated microservice cluster.
@@ -77,7 +79,6 @@ class EndpointConfig:
     max_retries: int = 3
     backoff_s: float = 0.5
     timeout_s: float = 60.0
-    max_history_items: int = 20
     max_inflight: int = 4  # in-flight request bound shared by policies on this config
     _gate: threading.BoundedSemaphore = field(
         init=False, repr=False, compare=False, default=None
@@ -134,7 +135,7 @@ class LlmPolicy(Policy):
             constraints=", ".join(inp.context.action_constraints),
             probes=", ".join(inp.context.probe_catalog),
         )
-        user = render_prompt(inp, max_history_items=self.config.max_history_items)
+        user = render_prompt(inp)
         return [
             {"role": "system", "content": system},
             {"role": "user", "content": user},
@@ -153,7 +154,10 @@ class LlmPolicy(Policy):
             try:
                 with self.config._gate:
                     with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
-                        return json.loads(resp.read().decode("utf-8"))
+                        raw = resp.read(MAX_REPLY_BYTES + 1)
+                if len(raw) > MAX_REPLY_BYTES:
+                    raise TransportError(f"endpoint reply is longer than {MAX_REPLY_BYTES} bytes")
+                return json.loads(raw.decode("utf-8"))
             except (urllib.error.URLError, TimeoutError, json.JSONDecodeError, OSError) as exc:
                 last_error = exc
         raise TransportError(

@@ -63,11 +63,11 @@ class LoopConfig:
 class Attempt:
     index: int
     playbook_text: str
-    struct: StructReport
-    safety: SafetyReport
-    trace: ExecutionTrace | None
-    verdict: int
-    probes_used: int
+    struct: StructReport = playbook.EMPTY_STRUCT
+    safety: SafetyReport = playbook.EMPTY_SAFETY
+    trace: ExecutionTrace | None = None
+    verdict: int = 0
+    probes_used: int = 0
     tokens_in: int = 0
     tokens_out: int = 0
     error: str | None = None
@@ -185,18 +185,7 @@ def run_episode(
             episode.error_tag = (
                 "transport-error" if isinstance(exc, TransportError) else "policy-error"
             )
-            episode.attempts.append(
-                Attempt(
-                    index=t,
-                    playbook_text="",
-                    struct=playbook.EMPTY_STRUCT,
-                    safety=playbook.EMPTY_SAFETY,
-                    trace=None,
-                    verdict=0,
-                    probes_used=0,
-                    error=str(exc),
-                )
-            )
+            episode.attempts.append(Attempt(index=t, playbook_text="", error=str(exc)))
             break
         episode.attempts.append(attempt)
         episode.tokens_in += attempt.tokens_in
@@ -268,16 +257,7 @@ def _run_attempt(
             )
 
     if proposal is None:
-        return Attempt(
-            index=t,
-            playbook_text="",
-            struct=playbook.EMPTY_STRUCT,
-            safety=playbook.EMPTY_SAFETY,
-            trace=None,
-            verdict=0,
-            probes_used=probes_used,
-            error="no-proposal",
-        )
+        return Attempt(index=t, playbook_text="", probes_used=probes_used, error="no-proposal")
 
     parsed, struct = playbook.read_proposal(proposal.playbook_text)
     safety = playbook.EMPTY_SAFETY

@@ -132,27 +132,6 @@ def parse_playbook(text: str) -> Playbook:
     return pb
 
 
-def render_playbook(pb: Playbook) -> str:
-    """Render a Playbook back to YAML; parse(render(pb)) == pb."""
-    doc = []
-    for play in pb.plays:
-        play_doc: dict = {"name": play.name}
-        if play.hosts is not None:
-            play_doc["hosts"] = play.hosts
-        if play.become:
-            play_doc["become"] = True
-        play_doc["tasks"] = []
-        for task in play.tasks:
-            task_doc: dict = {"name": task.name, task.action: task.command}
-            if task.register is not None:
-                task_doc["register"] = task.register
-            if task.when is not None:
-                task_doc["when"] = task.when
-            play_doc["tasks"].append(task_doc)
-        doc.append(play_doc)
-    return yamlio.dump(doc)
-
-
 _FENCE_RE = re.compile(r"```(?:yaml|yml|ansible)?\s*\n(.*?)```", re.DOTALL)
 
 

@@ -90,7 +90,10 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def render_prompt(inp: PolicyInput, max_history_items: int = 20) -> str:
+MAX_HISTORY_ITEMS = 20
+
+
+def render_prompt(inp: PolicyInput) -> str:
     """Deterministic textual rendering of a policy input.
 
     Scripted policies use its word count as their synthetic token-in count
@@ -104,7 +107,7 @@ def render_prompt(inp: PolicyInput, max_history_items: int = 20) -> str:
         "[report]",
         inp.report.description,
     ]
-    items = inp.history[-max_history_items:]
+    items = inp.history[-MAX_HISTORY_ITEMS:]
     if items:
         parts.append("[history]")
         for item in items:
@@ -482,18 +485,6 @@ class ToyPolicy(Policy):
             tokens_in=word_count(render_prompt(inp)),
             tokens_out=word_count(reasoning) + word_count(playbook_text),
         )
-
-
-def toy_logprob(policy: ToyPolicy, f: int, a: int) -> float:
-    if not (0 <= f < policy.theta.shape[0] and 0 <= a < policy.theta.shape[1]):
-        raise InvalidArgumentError(f"(f={f}, a={a}) out of range for theta {policy.theta.shape}")
-    return policy.logprob(f, a)
-
-
-def toy_grad_logprob(policy: ToyPolicy, f: int, a: int) -> np.ndarray:
-    if not (0 <= f < policy.theta.shape[0] and 0 <= a < policy.theta.shape[1]):
-        raise InvalidArgumentError(f"(f={f}, a={a}) out of range for theta {policy.theta.shape}")
-    return policy.grad_logprob(f, a)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

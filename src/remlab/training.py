@@ -30,7 +30,7 @@ import numpy as np
 from . import cluster, faults
 from .errors import DivergenceError, EmptyDatasetError, InvalidArgumentError, NotFoundError
 from .faults import AuxContext, FailureReport, Scenario, build_aux, state_seed_for
-from .grading import RewardWeights, grade
+from .grading import grade
 from .loop import Episode, LoopConfig, run_episode
 from .policies import (
     ExpertPolicy,
@@ -82,7 +82,6 @@ class TrainConfig:
     group_size: int = 8
     dpo_beta: float = 0.1
     seed: int = 0
-    token_budget: int = 4096
 
     def validate(self) -> None:
         if self.stage not in STAGES:
@@ -93,8 +92,6 @@ class TrainConfig:
             raise InvalidArgumentError("group_size must be >= 2")
         if self.dpo_beta <= 0:
             raise InvalidArgumentError("dpo_beta must be > 0")
-        if self.token_budget <= 0:
-            raise InvalidArgumentError("token_budget must be > 0")
 
 
 @dataclass
@@ -104,15 +101,13 @@ class TrainEnv:
     topology: Topology
     scenarios: list[Scenario]
     library: TemplateLibrary
-    loop_config: LoopConfig = field(default_factory=LoopConfig)
-    weights: RewardWeights = field(default_factory=RewardWeights)
-    aux: AuxContext | None = None
+    loop_config: LoopConfig = field(default_factory=LoopConfig, init=False)
+    aux: AuxContext = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.scenarios:
             raise EmptyDatasetError("a training env needs at least one scenario")
-        if self.aux is None:
-            self.aux = build_aux(self.topology)
+        self.aux = build_aux(self.topology)
 
 
 # --- losses ------------------------------------------------------------------------
@@ -351,16 +346,15 @@ def mining_rollouts(env: TrainEnv) -> int:
     return max(4 * len(env.scenarios), 64)
 
 
+MINING_TEMPERATURE = 3.0
+
+
 def mine_preference_pairs(
-    env: TrainEnv,
-    policy: ToyPolicy,
-    n_rollouts: int,
-    seed: int = 0,
-    temperature: float = 3.0,
+    env: TrainEnv, policy: ToyPolicy, n_rollouts: int, seed: int = 0
 ) -> list[PrefPair]:
     """Simulate post-deployment escalation: failed attempts become pairs.
 
-    Rollouts are sampled at an exploration temperature; whenever the policy
+    Rollouts are sampled at ``MINING_TEMPERATURE``; whenever the policy
     fails a scenario, the scripted corrective action becomes the preferred
     side and the failed action the rejected side. Every rollout is
     simulated: at the exploration temperature about half of them are
@@ -371,7 +365,7 @@ def mine_preference_pairs(
     pairs: list[PrefPair] = []
     for i in range(n_rollouts):
         scenario = env.scenarios[i % len(env.scenarios)]
-        sampler = policy.clone(sample_seed=seed * 100003 + i, temperature=temperature)
+        sampler = policy.clone(sample_seed=seed * 100003 + i, temperature=MINING_TEMPERATURE)
         episode, _ = rollout(
             env, sampler, scenario, state_seed_for(seed, scenario.scenario_id)
         )
@@ -446,7 +440,8 @@ def train_stage(
     * ``sft`` starts from a uniform (or given) policy and fits harvested
       expert data (harvested on the fly when not provided).
     * ``sim_rft`` starts from the given checkpoint and optimizes the
-      group-relative objective on freshly generated, graded rollouts.
+      group-relative objective on freshly generated, graded rollouts; it
+      raises EmptyDatasetError when no iteration formed a group.
     * ``real_rft`` starts from the given checkpoint, freezes it as the
       reference, and optimizes the preference objective on mined (or
       provided) pairs.
@@ -478,7 +473,7 @@ def train_stage(
                 episode, _ = rollout(
                     env, sampler, scenario, state_seed_for(config.seed, scenario.scenario_id), memo
                 )
-                reward = grade(episode, env.weights, token_budget=config.token_budget).total
+                reward = grade(episode).total
                 if not sampler.last_decisions:
                     continue
                 f, a = sampler.last_decisions[-1]
@@ -491,6 +486,8 @@ def train_stage(
             mean_reward = sum(m.reward for m in members) / len(members)
             curve.add(it, loss, mean_reward=mean_reward)
             policy.theta -= config.learning_rate * gradient
+        if not curve.points:
+            raise EmptyDatasetError("no sim_rft iteration formed a group of 2 or more rollouts")
         return policy, curve
 
     # real_rft
@@ -525,7 +522,6 @@ def save_checkpoint(path: str, policy: ToyPolicy, config: TrainConfig) -> None:
             "iterations": config.iterations,
             "group_size": config.group_size,
             "dpo_beta": config.dpo_beta,
-            "token_budget": config.token_budget,
         },
         "theta": policy.theta.tolist(),
     }
@@ -539,7 +535,10 @@ def load_checkpoint(path: str, library: TemplateLibrary, topology: Topology) -> 
         doc = json.load(fh)
     if doc.get("format") != "toy-policy/v1":
         raise InvalidArgumentError(f"unknown checkpoint format in {path!r}")
-    return ToyPolicy(np.asarray(doc["theta"], dtype=np.float64), library, topology)
+    theta = np.asarray(doc["theta"], dtype=np.float64)
+    if not np.all(np.isfinite(theta)):
+        raise InvalidArgumentError(f"checkpoint {path!r} has a non-finite theta")
+    return ToyPolicy(theta, library, topology)
 
 
 def sft_examples_to_jsonl(examples: Sequence[SftExample]) -> str:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from remlab import bench, faults
+from remlab import bench, cluster, faults
 from remlab.bench import (
     RunManifest,
     compute_agreement,
@@ -18,7 +18,8 @@ from remlab.bench import (
     run_suite,
 )
 from remlab.loop import Episode, LoopConfig
-from remlab.policies import ExpertPolicy, NoopPolicy
+from remlab.cli import main
+from remlab.policies import ExpertPolicy, NoopPolicy, ProbeRequest
 
 
 def _episode(success, latency=1000, tokens=(10, 10), wall=None):
@@ -241,6 +242,54 @@ def test_replay_verifies_run(expert_run, simple_micro):
     assert outcome["aggregates_match"] is True
     assert outcome["replayed"] == 23
     assert outcome["digest_matches"] == 23
+
+
+class _ProbeFirst(ExpertPolicy):
+    """Sends only probe requests, past any budget, on the attempts before
+    ``propose_from`` (None: on every attempt); then acts as the expert."""
+
+    policy_id = "probe-first"
+
+    def __init__(self, library, propose_from):
+        super().__init__(library)
+        self.propose_from = propose_from
+
+    def decide(self, inp):
+        if self.propose_from is None or inp.attempt_index() < self.propose_from:
+            return ProbeRequest(queries=(cluster.topology_summary_query(),))
+        return super().decide(inp)
+
+
+@pytest.mark.parametrize("propose_from", [None, 1])
+@pytest.mark.parametrize(
+    "loop",
+    [
+        LoopConfig(),
+        LoopConfig(no_probe=True),
+        LoopConfig(probe_budget=0, t_max=2),
+        LoopConfig(t_max=2, verification_mode="observable"),
+    ],
+)
+def test_replay_reproduces_no_proposal_attempts(
+    tmp_path, capsys, simple_micro, library, loop, propose_from
+):
+    manifest = RunManifest(
+        topology="simple-micro", difficulty="hard", seed=1, policy_id="probe-first", loop=loop
+    )
+    scenarios = faults.gen_suite(simple_micro, "hard", seed=1)[:5]
+    result = run_suite(
+        lambda i, s: _ProbeFirst(library, propose_from),
+        simple_micro,
+        scenarios,
+        manifest,
+        out_dir=str(tmp_path),
+    )
+    assert all(e.attempts[0].error == "no-proposal" for e in result.episodes)
+    run_dir = bench.run_dir_for(manifest, str(tmp_path))
+    outcome = replay_run(run_dir)
+    assert (outcome["replayed"], outcome["digest_matches"]) == (5, 5)
+    assert main(["replay", "--run-dir", run_dir]) == 0
+    assert json.loads(capsys.readouterr().out)["digest_matches"] == 5
 
 
 def test_noop_floor(simple_micro):

@@ -1,9 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from remlab import training
 from remlab.cli import main
+from remlab.policies import N_CONTEXT_CLASSES, ToyPolicy
 
 
 def test_topology_check_ok(capsys):
@@ -118,3 +121,16 @@ def test_weights_flag_parsing(tmp_path, capsys):
         "--policy", "noop", "--weights", "nonsense", "--out-dir", str(out_dir),
     ])
     assert code == 2
+
+
+def test_non_finite_checkpoint_is_a_run_error(tmp_path, capsys, library, simple_micro):
+    path = tmp_path / "nan.json"
+    theta = np.full((N_CONTEXT_CLASSES, len(library)), np.nan)
+    training.save_checkpoint(
+        str(path), ToyPolicy(theta, library, simple_micro), training.TrainConfig(stage="sft")
+    )
+    code = main([
+        "run", "--policy", "toy", "--checkpoint", str(path), "--out-dir", str(tmp_path / "runs"),
+    ])
+    assert code == 1
+    assert "run error:" in capsys.readouterr().err

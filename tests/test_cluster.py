@@ -45,7 +45,8 @@ def _mini():
 
 
 def test_load_minimal_topology():
-    state = load_topology({"name": "t", "services": [{"name": "a", "replicas": 1}]}, seed=0)
+    topology = parse_topology({"name": "t", "services": [{"name": "a", "replicas": 1}]})
+    state = load_topology(topology, seed=0)
     assert len(state.pods) == 1
     assert state.pods[0].phase == PodPhase.RUNNING
     assert state.clock_ms == 0

@@ -6,6 +6,7 @@ change of the simulator, not an optimisation.
 """
 
 import hashlib
+import json
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,15 @@ def _probe_texts(state):
     for link in state.topology.links:
         texts.append(observe(state, cluster.link_stats_query(link.src, link.dst)).text)
     return hashlib.blake2b("\n".join(texts).encode(), digest_size=8).hexdigest()
+
+
+def _digest_modulo_clock_and_restarts(state):
+    """``digest`` of the state with its clock left out and every restart count None."""
+    doc = cluster.state_doc(state)
+    del doc["clock_ms"]
+    doc["pods"] = [[*pod[:-1], None] for pod in doc["pods"]]
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
 
 
 def _trajectory(name):
@@ -96,7 +106,7 @@ def _trajectory(name):
     settle(2)
     act(ScaleService(services[4], 2))
     settle(3, 1500)
-    marks.append(digest(state, ignore_clock=True, ignore_restarts=True))
+    marks.append(_digest_modulo_clock_and_restarts(state))
     return {
         "digests": marks,
         "oracle": [faults.oracle_verify(state, r) for r in records],

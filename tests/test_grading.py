@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from remlab.grading import (
-    DEFAULT_TOKEN_BUDGET,
+    TOKEN_BUDGET,
     RewardWeights,
     compute_reward,
     grade,
@@ -90,7 +90,7 @@ def test_r_eff_gated_on_success():
     failed = _episode(False, 1.0, n_ok=2, n_failed=1, unsafe=False, tokens=100)
     assert grade(failed).r_eff == 0.0
     ok = _episode(True, 1.0, n_ok=3, n_failed=0, unsafe=False, tokens=1024)
-    assert grade(ok).r_eff == pytest.approx(1.0 - 1024 / DEFAULT_TOKEN_BUDGET)
+    assert grade(ok).r_eff == pytest.approx(1.0 - 1024 / TOKEN_BUDGET)
     # budget exceeded floors at zero
     long_winded = _episode(True, 1.0, n_ok=3, n_failed=0, unsafe=False, tokens=10000)
     assert grade(long_winded).r_eff == 0.0

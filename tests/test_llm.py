@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from remlab import faults
+from remlab import faults, llm
 from remlab.errors import TransportError
 from remlab.faults import FailureSpec, FailureType, build_aux
 from remlab.llm import EndpointConfig, LlmPolicy
@@ -97,6 +97,14 @@ def test_probe_lines_become_probe_request(mock_endpoint, simple_micro):
     assert isinstance(out, ProbeRequest)
     assert len(out.queries) == 2
     assert out.queries[0].service == "orders"
+
+
+def test_over_cap_reply_is_a_transport_error(mock_endpoint, simple_micro):
+    _MockHandler.responses = [_completion("x" * llm.MAX_REPLY_BYTES)]
+    policy = LlmPolicy(EndpointConfig(url=mock_endpoint, backoff_s=0.01))
+    with pytest.raises(TransportError, match="longer than"):
+        policy.decide(_input(simple_micro))
+    assert len(_MockHandler.calls) == 1
 
 
 def test_unreachable_endpoint_raises_after_retries(simple_micro):

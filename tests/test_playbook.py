@@ -32,7 +32,6 @@ from remlab.playbook import (
     parse_playbook,
     r_exec,
     read_proposal,
-    render_playbook,
 )
 from remlab.policies import ExpertPolicy, RemedyProposal, ReplayPolicy, build_default_library
 from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
@@ -188,6 +187,27 @@ def _playbooks(draw):
             )
         )
     return Playbook(plays=tuple(plays))
+
+
+def render_playbook(pb: Playbook) -> str:
+    """Render a Playbook back to YAML; parse(render(pb)) == pb."""
+    doc = []
+    for play in pb.plays:
+        play_doc: dict = {"name": play.name}
+        if play.hosts is not None:
+            play_doc["hosts"] = play.hosts
+        if play.become:
+            play_doc["become"] = True
+        play_doc["tasks"] = []
+        for task in play.tasks:
+            task_doc: dict = {"name": task.name, task.action: task.command}
+            if task.register is not None:
+                task_doc["register"] = task.register
+            if task.when is not None:
+                task_doc["when"] = task.when
+            play_doc["tasks"].append(task_doc)
+        doc.append(play_doc)
+    return yamlio.dump(doc)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,10 +19,8 @@ from remlab.policies import (
     ReplayPolicy,
     ToyPolicy,
     classify_context,
-    toy_grad_logprob,
     build_default_library,
     context_probes,
-    toy_logprob,
 )
 from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
 
@@ -110,7 +108,7 @@ def test_policy_input_carries_no_record_fields():
 def test_uniform_logprob(library, simple_micro):
     policy = ToyPolicy.uniform(library, simple_micro)
     for a in range(len(library)):
-        assert toy_logprob(policy, 0, a) == pytest.approx(-math.log(len(library)))
+        assert policy.logprob(0, a) == pytest.approx(-math.log(len(library)))
 
 
 def test_uniform_logprob_four_actions(library, simple_micro):
@@ -119,7 +117,7 @@ def test_uniform_logprob_four_actions(library, simple_micro):
     small = TemplateLibrary(simple_micro, library.templates[:4])
     policy = ToyPolicy.uniform(small, simple_micro)
     for a in range(4):
-        assert toy_logprob(policy, 3, a) == pytest.approx(-math.log(4), abs=1e-12)
+        assert policy.logprob(3, a) == pytest.approx(-math.log(4), abs=1e-12)
 
 
 def test_softmax_normalization(library, simple_micro):
@@ -135,7 +133,7 @@ def test_grad_logprob_matches_finite_differences(library, simple_micro):
     theta = rng.normal(scale=0.5, size=(N_CONTEXT_CLASSES, len(library)))
     policy = ToyPolicy(theta, library, simple_micro)
     f, a = 5, 2
-    analytic = toy_grad_logprob(policy, f, a)
+    analytic = policy.grad_logprob(f, a)
     h = 1e-5
     for j in range(len(library)):
         plus = theta.copy()

@@ -411,6 +411,13 @@ def test_stage_prerequisites_enforced(env):
         TrainConfig(stage="sorcery").validate()
 
 
+def test_sim_rft_without_a_group_is_an_empty_dataset(env, library, simple_micro):
+    """Every rollout of an all-NaN policy is a policy-error, so no group forms."""
+    nan_policy = ToyPolicy(np.full((N_CONTEXT_CLASSES, len(library)), np.nan), library, simple_micro)
+    with pytest.raises(EmptyDatasetError):
+        train_stage(TrainConfig(stage="sim_rft", iterations=3, seed=5), env, init_policy=nan_policy)
+
+
 def test_checkpoint_round_trip(env, library, simple_micro, tmp_path):
     policy = _random_policy(library, simple_micro, seed=14)
     config = TrainConfig(stage="sft", seed=3)
@@ -430,24 +437,13 @@ def test_curve_csv_shape(env):
     assert len(lines) == len(curve.points) + 1
 
 
-@pytest.mark.parametrize("budget", [0, -1])
-def test_token_budget_must_be_positive(env, library, simple_micro, budget):
-    config = TrainConfig(stage="sim_rft", iterations=3, seed=5, token_budget=budget)
-    with pytest.raises(InvalidArgumentError):
-        config.validate()
-    with pytest.raises(InvalidArgumentError):
-        train_stage(config, env, init_policy=ToyPolicy.uniform(library, simple_micro))
-
-
 @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
-def test_temperature_must_be_finite_and_positive(env, library, simple_micro, temperature):
+def test_temperature_must_be_finite_and_positive(library, simple_micro, temperature):
     with pytest.raises(InvalidArgumentError):
         ToyPolicy.uniform(library, simple_micro, temperature=temperature)
     policy = ToyPolicy.uniform(library, simple_micro)
     with pytest.raises(InvalidArgumentError):
         policy.clone(temperature=temperature)
-    with pytest.raises(InvalidArgumentError):
-        training.mine_preference_pairs(env, policy, n_rollouts=4, temperature=temperature)
 
 
 def test_env_without_scenarios_is_an_empty_dataset(library, simple_micro):
@@ -532,7 +528,8 @@ def test_memoised_rollouts_equal_fresh_ones(
     """Episode bytes, decisions and final state are the same with or without
     the memo, whatever theta each sampler carries, including a non-finite row
     in the context class the first attempt is sampled in."""
-    env = dataclasses.replace(env, loop_config=LoopConfig(t_max=t_max))
+    env = dataclasses.replace(env)
+    env.loop_config = LoopConfig(t_max=t_max)
     scenarios = env.scenarios[:2]
     thetas = [
         np.random.default_rng(seed).normal(scale=scale, size=(N_CONTEXT_CLASSES, len(library)))
