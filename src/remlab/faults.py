@@ -41,7 +41,7 @@ from .playbook import SAFETY_RULE_IDS, catalog_documentation
 from .topology import Topology, summarize
 
 if TYPE_CHECKING:
-    from .loop import LoopConfig
+    from .loop import LoopConfig  # unreached: only type checkers run this import
 
 CORRUPT_VALUE = "!!corrupted!!"
 

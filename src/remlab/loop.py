@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import cluster, faults, playbook
-from .cluster import ClusterState
+from .cluster import ClusterState, ProbeKind, ProbeQuery
 from .errors import InvalidArgumentError, NotFoundError, TransportError
 from .faults import FailureRecord, FailureReport
 from .playbook import ExecutionTrace, SafetyConstraints, SafetyReport, StructReport
@@ -101,8 +101,13 @@ def observable_verify(state: ClusterState, report: FailureReport) -> bool:
     return all(cluster.nominal(state, t) for t in report.target_service.split(","))
 
 
-def reflect(inp: PolicyInput, attempt: Attempt, state: ClusterState) -> PolicyInput:
-    """Append what went wrong to the policy input. History only grows."""
+def reflect(
+    inp: PolicyInput, attempt: Attempt, state: ClusterState, report: FailureReport
+) -> PolicyInput:
+    """Append what went wrong to the policy input. History only grows.
+
+    ``report`` is the episode's own report: the policy may rebind ``inp.report``.
+    """
     if attempt.trace is not None:
         failed = [r.task_name for r in attempt.trace.by_status(playbook.TaskStatus.FAILED)]
         if failed:
@@ -130,7 +135,7 @@ def reflect(inp: PolicyInput, attempt: Attempt, state: ClusterState) -> PolicyIn
         inp.history.append(
             HistoryItem("reflection_parse", "previous playbook did not parse")
         )
-    degraded = _degraded_targets(state, inp.report)
+    degraded = _degraded_targets(state, report)
     if degraded:
         inp.history.append(
             HistoryItem(
@@ -142,14 +147,7 @@ def reflect(inp: PolicyInput, attempt: Attempt, state: ClusterState) -> PolicyIn
 
 
 def _degraded_targets(state: ClusterState, report: FailureReport) -> list[str]:
-    out = []
-    for target in report.target_service.split(","):
-        try:
-            if not cluster.nominal(state, target):
-                out.append(target)
-        except NotFoundError:
-            continue
-    return out
+    return [t for t in report.target_service.split(",") if not cluster.nominal(state, t)]
 
 
 def run_episode(
@@ -180,7 +178,7 @@ def run_episode(
 
     for t in range(config.t_max + 1):
         try:
-            attempt = _run_attempt(policy, state, records, config, inp, constraints, t)
+            attempt = _run_attempt(policy, state, records, config, report, inp, constraints, t)
         except (TransportError, _PolicyError) as exc:
             episode.error_tag = (
                 "transport-error" if isinstance(exc, TransportError) else "policy-error"
@@ -199,7 +197,7 @@ def run_episode(
         if attempt.verdict:
             break
         if t < config.t_max and not config.no_reflection:
-            inp = reflect(inp, attempt, state)
+            inp = reflect(inp, attempt, state, report)
 
     episode.success = bool(episode.attempts and episode.attempts[-1].verdict)
     episode.sim_latency_ms = state.clock_ms - clock_start
@@ -216,6 +214,7 @@ def _run_attempt(
     state: ClusterState,
     records: list[FailureRecord],
     config: LoopConfig,
+    report: FailureReport,
     inp: PolicyInput,
     constraints: SafetyConstraints,
     t: int,
@@ -272,7 +271,7 @@ def _run_attempt(
     if config.verification_mode == "oracle":
         verdict = int(all(faults.oracle_verify(state, r) for r in records))
     else:
-        verdict = int(observable_verify(state, inp.report))
+        verdict = int(observable_verify(state, report))
 
     return Attempt(
         index=t,
@@ -293,16 +292,32 @@ class _PolicyError(Exception):
 
 def _decide(policy: Policy, inp: PolicyInput) -> ProbeRequest | RemedyProposal:
     """Ask the policy for its next output. The policy is untrusted code: any
-    failure other than a TransportError becomes a _PolicyError."""
+    failure other than a TransportError, and any output whose fields do not
+    have the declared types, becomes a _PolicyError."""
     try:
         output = policy.decide(inp)
     except TransportError:
         raise
     except Exception as exc:
         raise _PolicyError(f"policy raised {type(exc).__name__}: {exc}") from exc
-    if not isinstance(output, (ProbeRequest, RemedyProposal)):
+    if isinstance(output, RemedyProposal):
+        if not isinstance(output.playbook_text, str):
+            raise _PolicyError("proposal playbook_text is not a str")
+        if not all(type(n) is int and n >= 0 for n in (output.tokens_in, output.tokens_out)):
+            raise _PolicyError("proposal token counts are not non-negative ints")
+    elif isinstance(output, ProbeRequest):
+        if type(output.queries) is not tuple or not all(map(_valid_query, output.queries)):
+            raise _PolicyError("probe queries are not a tuple of valid ProbeQuery")
+    else:
         raise _PolicyError(f"policy returned {type(output).__name__}, not a policy output")
     return output
+
+
+def _valid_query(query: object) -> bool:
+    if not isinstance(query, ProbeQuery) or not isinstance(query.kind, ProbeKind):
+        return False
+    fields = (query.service, query.key, query.src, query.dst)
+    return all(v is None or isinstance(v, str) for v in fields)
 
 
 def _neighborhood_scope(state: ClusterState, report: FailureReport) -> tuple[str, ...]:
@@ -311,8 +326,6 @@ def _neighborhood_scope(state: ClusterState, report: FailureReport) -> tuple[str
     for target in report.target_service.split(","):
         scope.update(cluster.target_services(target))
     for svc in list(scope):
-        if svc not in state.topology.services:
-            continue
         scope |= set(state.topology.service(svc).dependencies)
         for other in state.topology.services.values():
             if svc in other.dependencies:

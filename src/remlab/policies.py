@@ -291,10 +291,7 @@ def classify_context(inp: PolicyInput, topology: Topology) -> int:
 
 
 def _pods_degraded(payload: dict, topology: Topology) -> bool:
-    service = payload["service"]
-    if service not in topology.services:
-        return False
-    baseline = topology.service(service).baseline
+    baseline = topology.service(payload["service"]).baseline
     for pod in payload["pods"]:
         if pod.get("phase") != "Running":
             return True

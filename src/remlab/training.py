@@ -28,12 +28,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cluster, faults
-from .errors import DivergenceError, EmptyDatasetError, InvalidArgumentError, NotFoundError
+from .errors import DivergenceError, EmptyDatasetError, InvalidArgumentError
 from .faults import AuxContext, FailureReport, Scenario, build_aux, state_seed_for
 from .grading import grade
 from .loop import Episode, LoopConfig, run_episode
 from .policies import (
-    ExpertPolicy,
     HistoryItem,
     PolicyInput,
     TemplateLibrary,
@@ -333,11 +332,8 @@ def _context_class(env: TrainEnv, state: cluster.ClusterState, report: FailureRe
     """Context class as the toy policy would see it on this freshly faulted state."""
     inp = PolicyInput(report=report, context=env.aux, history=[])
     for query in context_probes(report, env.topology):
-        try:
-            result = cluster.observe(state, query)
-            inp.history.append(HistoryItem("probe_result", result.text, dict(result.payload)))
-        except NotFoundError:
-            continue
+        result = cluster.observe(state, query)
+        inp.history.append(HistoryItem("probe_result", result.text, dict(result.payload)))
     return classify_context(inp, env.topology)
 
 
@@ -432,31 +428,31 @@ def train_stage(
     config: TrainConfig,
     env: TrainEnv,
     init_policy: ToyPolicy | None = None,
-    sft_data: Sequence[SftExample] | None = None,
-    pairs: Sequence[PrefPair] | None = None,
+    sft_data: Sequence[SftExample] = (),
+    pairs: Sequence[PrefPair] = (),
 ) -> tuple[ToyPolicy, LearningCurve]:
     """Run one training stage and return (trained policy, learning curve).
 
-    * ``sft`` starts from a uniform (or given) policy and fits harvested
-      expert data (harvested on the fly when not provided).
+    ``sft`` and ``real_rft`` train on the data they are given (``sft_data``
+    from ``harvest_expert``, ``pairs`` from ``mine_preference_pairs``) and
+    raise EmptyDatasetError when it is empty.
+
+    * ``sft`` starts from a uniform (or given) policy and fits ``sft_data``.
     * ``sim_rft`` starts from the given checkpoint and optimizes the
       group-relative objective on freshly generated, graded rollouts; it
       raises EmptyDatasetError when no iteration formed a group.
     * ``real_rft`` starts from the given checkpoint, freezes it as the
-      reference, and optimizes the preference objective on mined (or
-      provided) pairs.
+      reference, and optimizes the preference objective on ``pairs``.
     """
     config.validate()
     curve = LearningCurve(stage=config.stage)
 
     if config.stage == "sft":
         policy = init_policy or ToyPolicy.uniform(env.library, env.topology)
-        data = list(sft_data) if sft_data is not None else harvest_expert(
-            env, ExpertPolicy(env.library), n=len(env.scenarios), seed=config.seed
+        return (
+            _descend(policy, lambda p: sft_loss(p, sft_data), config, curve, stop_below=1e-3),
+            curve,
         )
-        if not data:
-            raise EmptyDatasetError("no SFT examples")
-        return _descend(policy, lambda p: sft_loss(p, data), config, curve, stop_below=1e-3), curve
 
     if init_policy is None:
         raise InvalidArgumentError(f"{config.stage} requires an initial policy checkpoint")
@@ -493,18 +489,8 @@ def train_stage(
     # real_rft
     policy = init_policy.clone()
     reference = init_policy.clone()  # frozen snapshot
-    mined = list(pairs) if pairs is not None else mine_preference_pairs(
-        env, policy, n_rollouts=mining_rollouts(env), seed=config.seed
-    )
-    if not mined:
-        raise EmptyDatasetError("no preference pairs mined")
     return (
-        _descend(
-            policy,
-            lambda p: dpo_loss(p, reference, mined, config.dpo_beta),
-            config,
-            curve,
-        ),
+        _descend(policy, lambda p: dpo_loss(p, reference, pairs, config.dpo_beta), config, curve),
         curve,
     )
 

@@ -20,7 +20,7 @@ import yaml
 if yaml.__with_libyaml__:
     Loader, Dumper = yaml.CSafeLoader, yaml.CSafeDumper
 else:
-    Loader, Dumper = yaml.SafeLoader, yaml.SafeDumper
+    Loader, Dumper = yaml.SafeLoader, yaml.SafeDumper  # unreached: only PyYAML without libyaml
 
 
 def load(text: str) -> object:

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from remlab import cluster
 from remlab.policies import build_default_library
 from remlab.topology import bundled_topology
+
+# Fixed examples, for the line-reach gate (tests/reach.py): the lines a run
+# reaches must not depend on which examples hypothesis happens to draw.
+settings.register_profile("derandomize", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -298,8 +298,13 @@ def test_criterion_07_staged_training(simple_micro, library):
         assert abs(measured - analytic) <= 3 * sd + 1e-9, (measured, analytic)
 
         # Stage 1: imitation on harvested expert data.
+        data = training.harvest_expert(
+            env, ExpertPolicy(library), n=len(env.scenarios), seed=5
+        )
         sft_policy, sft_curve = train_stage(
-            TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5), env
+            TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5),
+            env,
+            sft_data=data,
         )
         assert sft_curve.points[-1]["loss"] < 0.1
 

@@ -17,6 +17,7 @@ from remlab.bench import (
     replay_run,
     run_suite,
 )
+from remlab.errors import RunError
 from remlab.loop import Episode, LoopConfig
 from remlab.cli import main
 from remlab.policies import ExpertPolicy, NoopPolicy, ProbeRequest
@@ -66,6 +67,7 @@ def test_atc_over_successes_only():
     assert compute_atc(episodes) == pytest.approx(2000.0)
     assert compute_atc([_episode(False)]) is None
     assert compute_atc_all(episodes) == pytest.approx((1500 + 2500 + 180000) / 3)
+    assert compute_atc_all([]) is None
 
 
 def test_agreement_rate():
@@ -290,6 +292,38 @@ def test_replay_reproduces_no_proposal_attempts(
     assert (outcome["replayed"], outcome["digest_matches"]) == (5, 5)
     assert main(["replay", "--run-dir", run_dir]) == 0
     assert json.loads(capsys.readouterr().out)["digest_matches"] == 5
+
+
+class _Raises(ExpertPolicy):
+    def decide(self, inp):
+        raise RuntimeError("policy bug")
+
+
+def test_replay_skips_episodes_that_ended_in_a_policy_error(tmp_path, simple_micro, library):
+    manifest = RunManifest(topology="simple-micro", difficulty="easy", seed=1, policy_id="mixed")
+    scenarios = faults.gen_suite(simple_micro, "easy", seed=1)[:4]
+    result = run_suite(
+        lambda i, s: _Raises(library) if i == 2 else ExpertPolicy(library),
+        simple_micro,
+        scenarios,
+        manifest,
+        out_dir=str(tmp_path),
+    )
+    assert [e.error_tag for e in result.episodes] == [None, None, "policy-error", None]
+    outcome = replay_run(bench.run_dir_for(manifest, str(tmp_path)))
+    assert (outcome["episodes"], outcome["replayed"], outcome["digest_matches"]) == (4, 3, 3)
+
+
+def test_a_run_that_cannot_be_saved_is_a_run_error(tmp_path, simple_micro, library):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    manifest = RunManifest(topology="simple-micro", difficulty="easy", seed=1, policy_id="expert")
+    scenarios = faults.gen_suite(simple_micro, "easy", seed=1)[:1]
+    with pytest.raises(RunError, match="failed to persist run"):
+        run_suite(
+            lambda i, s: ExpertPolicy(library), simple_micro, scenarios, manifest,
+            out_dir=str(not_a_dir),
+        )
 
 
 def test_noop_floor(simple_micro):

@@ -1,11 +1,15 @@
 import json
 import os
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
 from remlab import training
 from remlab.cli import main
+from remlab.llm import LlmPolicy
 from remlab.policies import N_CONTEXT_CLASSES, ToyPolicy
 
 
@@ -134,3 +138,74 @@ def test_non_finite_checkpoint_is_a_run_error(tmp_path, capsys, library, simple_
     ])
     assert code == 1
     assert "run error:" in capsys.readouterr().err
+
+
+def test_suite_gen_without_out_writes_stdout(capsys):
+    assert main(["suite", "gen", "--difficulty", "easy", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 23 and json.loads(lines[0])["scenario_id"] == "easy-000"
+
+
+def _run_dir(stdout):
+    return pathlib.Path(stdout.splitlines()[0].split("run dir: ")[1])
+
+
+def test_run_toy_policy_uniform_and_from_a_checkpoint(tmp_path, capsys, library, simple_micro):
+    out_dir = str(tmp_path / "runs")
+    assert main(["run", "--policy", "toy", "--out-dir", out_dir]) == 0
+    uniform_dir = _run_dir(capsys.readouterr().out)
+    path = tmp_path / "uniform.json"
+    training.save_checkpoint(
+        str(path), ToyPolicy.uniform(library, simple_micro), training.TrainConfig(stage="sft")
+    )
+    assert main(["run", "--policy", "toy", "--checkpoint", str(path), "--out-dir", out_dir]) == 0
+    checkpoint_dir = _run_dir(capsys.readouterr().out)
+    manifest = json.loads((checkpoint_dir / "manifest.json").read_text())
+    assert manifest["policy_config"] == {"checkpoint": "uniform.json"}
+    # The same theta samples the same episodes, under another manifest.
+    assert checkpoint_dir != uniform_dir
+    for name in ("episodes.jsonl", "result.json"):
+        assert (checkpoint_dir / name).read_bytes() == (uniform_dir / name).read_bytes()
+
+
+def test_run_llm_policy_against_the_configured_endpoint(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REMLAB_TEST_URL", "http://127.0.0.1:9/v1/chat/completions")
+    monkeypatch.setenv("REMLAB_TEST_MODEL", "small-model")
+    reply = {"choices": [{"message": {"content": "no idea"}}], "usage": {"prompt_tokens": 7}}
+    monkeypatch.setattr(LlmPolicy, "_post", lambda self, body: reply)
+    code = main([
+        "run", "--policy", "llm", "--endpoint-env", "REMLAB_TEST",
+        "--out-dir", str(tmp_path / "runs"),
+    ])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "episodes=23 ra=0.0000" in stdout
+    manifest = json.loads((_run_dir(stdout) / "manifest.json").read_text())
+    assert manifest["policy_id"] == "llm" and manifest["policy_config"] == {"model": "small-model"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["replay", "--run-dir", "{missing}"],
+        ["report", "--run-dir", "{missing}"],
+        ["grade", "--run-dir", "{missing}"],
+        ["topology", "check", "{missing}.yaml"],
+        ["train", "--stage", "real_rft", "--init-checkpoint", "{missing}", "--out-dir", "{out}"],
+    ],
+)
+def test_a_file_that_cannot_be_opened_is_a_run_error(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "missing", out=tmp_path / "out") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run error: [Errno 2] No such file or directory")
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:'remlab.cli' found in sys.modules:RuntimeWarning")
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["remlab", "topology", "check", "simple-micro"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("remlab.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert "topology ok" in capsys.readouterr().out

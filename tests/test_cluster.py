@@ -121,6 +121,8 @@ def test_observe_unknown_service(state):
         observe(state, cluster.pod_metrics_query("ghost"))
     with pytest.raises(NotFoundError):
         observe(state, cluster.config_get_query("frontend", "ghost-key"))
+    with pytest.raises(NotFoundError, match="unknown service 'ghost'"):
+        observe(state, cluster.config_get_query("ghost", "k"))
     with pytest.raises(NotFoundError):
         observe(state, cluster.link_stats_query("frontend", "datastore"))
 
@@ -225,8 +227,28 @@ def test_unknown_targets_raise(state):
         cluster.apply(state, RestartService("ghost"))
     with pytest.raises(NotFoundError):
         cluster.apply(state, SetConfig("orders", "ghost-key", "x"))
+    with pytest.raises(NotFoundError, match="unknown service 'ghost'"):
+        cluster.apply(state, SetConfig("ghost", "k", "x"))
     with pytest.raises(NotFoundError):
         cluster.apply(state, ClearLinkShaping("frontend", "datastore"))
+
+
+def test_unknown_probe_kind_and_action_type_raise(state):
+    with pytest.raises(InvalidArgumentError, match="unknown probe kind 'bogus'"):
+        observe(state, cluster.ProbeQuery("bogus"))
+    with pytest.raises(InvalidArgumentError, match="unknown action"):
+        cluster.apply(state, "kubectl get pods")
+
+
+def test_split_link_key_needs_both_endpoints():
+    for target in ("orders", "orders->", "->orders"):
+        with pytest.raises(InvalidArgumentError, match="not a link identifier"):
+            cluster.split_link_key(target)
+
+
+def test_pod_and_link_views_repr_their_key(state):
+    assert repr(state.pods[0]) == f"PodState({state.pods[0].pod_id!r})"
+    assert repr(state.links[0]) == "NetworkLink('frontend->gateway')"
 
 
 def test_noop_changes_nothing(state):

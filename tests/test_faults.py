@@ -44,7 +44,7 @@ from remlab.policies import (
     classify_context,
     context_probes,
 )
-from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
+from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology, parse_topology
 
 ALL_TYPES = list(FailureType)
 
@@ -596,6 +596,69 @@ def test_suite_too_small_topology():
     # easy still impossible: no links for network faults
     with pytest.raises(SuiteGenerationError):
         gen_suite(topo, "easy", seed=1)
+
+
+def _small_topology(name, services, links=({"src": "a", "dst": "b"},)):
+    return parse_topology({"name": name, "services": list(services), "links": list(links)})
+
+
+# a -> b -> c, where only b declares config and the one link a->b touches b.
+_CHAIN = (
+    {"name": "a", "dependencies": ["b"]},
+    {"name": "b", "dependencies": ["c"], "config": {"k": "v"}},
+    {"name": "c"},
+)
+
+
+@pytest.mark.parametrize(
+    "services, difficulty, message",
+    [
+        # no dependency edge at all
+        ([{"name": "a", "config": {"k": "v"}}, {"name": "b"}], "hard", "dependency edge"),
+        # a and b are independent, but a fault on the link a->b touches both
+        ([{"name": "a", "config": {"k": "v"}}, {"name": "b"}], "medium", "independent fault pairs"),
+        # a depends on b: no fault is independent of a fault on a
+        (
+            [{"name": "a", "dependencies": ["b"], "config": {"k": "v"}}, {"name": "b"}],
+            "medium",
+            "independent fault pairs",
+        ),
+    ],
+)
+def test_suite_shape_errors(services, difficulty, message):
+    with pytest.raises(SuiteGenerationError, match=message):
+        gen_suite(_small_topology("small", services), difficulty, seed=1)
+
+
+def test_hard_suite_on_a_small_chain():
+    """Config faults move to a type the service can take, and a third fault
+    whose type has no free target takes the next type."""
+    suite = gen_suite(_small_topology("chain", _CHAIN), "hard", seed=1)
+    assert len(suite) == SUITE_SIZES["hard"]
+    specs = [f for s in suite for f in s.faults]
+    assert {f.target for f in specs if f.ftype == FailureType.CONFIG_ERROR} == {"b"}
+    assert not [f for f in specs if f.ftype in faults.NETWORK_TYPES]
+    # scenario 2 would put config_error on a, scenario 9 on c: neither has config
+    on_a, on_c = suite[2].faults[0], suite[9].faults[1]
+    assert (on_a.ftype, on_a.target) == (FailureType.CPU_SATURATION, "a")
+    assert (on_c.ftype, on_c.target) == (FailureType.MEMORY_SATURATION, "c")
+    assert [len(s.faults) for s in suite[:3]] == [2, 2, 3]
+
+
+def test_suite_rejects_an_unknown_difficulty(simple_micro):
+    with pytest.raises(ValueError, match="unknown difficulty"):
+        gen_suite(simple_micro, "nightmare", seed=1)
+
+
+def test_config_error_needs_a_config_key():
+    state = cluster.load_topology(_small_topology("chain", _CHAIN), seed=1)
+    with pytest.raises(InjectionError, match="declares no config keys"):
+        inject(state, FailureSpec(FailureType.CONFIG_ERROR, "a"))
+
+
+def test_composite_of_no_reports_is_an_error():
+    with pytest.raises(ValueError, match="no reports"):
+        composite_report([])
 
 
 def test_suite_serialization_round_trip(simple_micro):

@@ -53,6 +53,12 @@ def test_unsafe_success_anchor():
     assert grade(episode).total == pytest.approx(-0.3, abs=1e-12)
 
 
+def test_episode_without_attempts_grades_zero():
+    breakdown = grade(Episode(scenario_id="s", policy_id="p"))
+    assert (breakdown.success, breakdown.r_struct, breakdown.r_exec) == (0, 0.0, 0.0)
+    assert (breakdown.r_eff, breakdown.unsafe, breakdown.total) == (0.0, 0, 0.0)
+
+
 def test_unparsable_failure_is_zero():
     episode = Episode(scenario_id="s", policy_id="p")
     episode.attempts.append(

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from remlab import faults, llm
+from remlab import cluster, faults, llm
 from remlab.errors import TransportError
 from remlab.faults import FailureSpec, FailureType, build_aux
 from remlab.llm import EndpointConfig, LlmPolicy
@@ -16,10 +16,12 @@ from remlab.policies import PolicyInput, ProbeRequest, RemedyProposal
 class _MockHandler(BaseHTTPRequestHandler):
     responses: list[dict] = []
     calls: list[dict] = []
+    authorization: list[str | None] = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).calls.append(body)
+        type(self).authorization.append(self.headers.get("Authorization"))
         if not type(self).responses:
             self.send_response(500)
             self.end_headers()
@@ -43,6 +45,7 @@ def mock_endpoint():
     thread.start()
     _MockHandler.responses = []
     _MockHandler.calls = []
+    _MockHandler.authorization = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
 
@@ -56,8 +59,6 @@ def _completion(content, prompt_tokens=120, completion_tokens=60):
 
 def _input(simple_micro):
     aux = build_aux(simple_micro)
-    from remlab import cluster
-
     state = cluster.load_topology(simple_micro, seed=5)
     record = faults.inject(state, FailureSpec(FailureType.CPU_SATURATION, "orders"))
     report = faults.make_report(record, aux)
@@ -97,6 +98,40 @@ def test_probe_lines_become_probe_request(mock_endpoint, simple_micro):
     assert isinstance(out, ProbeRequest)
     assert len(out.queries) == 2
     assert out.queries[0].service == "orders"
+
+
+def test_probe_lines_of_every_kind_parse():
+    content = (
+        "PROBE: pod_metrics orders\n"
+        "PROBE: pod_list orders\n"
+        "PROBE: config_get orders retry_limit\n"
+        "PROBE: link_stats frontend gateway\n"
+        "PROBE: topology_summary\n"
+        "PROBE: pod_list\n"  # a line with the wrong argument count is dropped
+        "PROBE: config_get orders\n"
+    )
+    assert LlmPolicy._parse_probes(content) == [
+        cluster.pod_metrics_query("orders"),
+        cluster.pod_list_query("orders"),
+        cluster.config_get_query("orders", "retry_limit"),
+        cluster.link_stats_query("frontend", "gateway"),
+        cluster.topology_summary_query(),
+    ]
+
+
+@pytest.mark.parametrize("reply", [{}, {"choices": []}, {"choices": [{"message": None}]}])
+def test_malformed_reply_is_a_transport_error(mock_endpoint, simple_micro, reply):
+    _MockHandler.responses = [reply]
+    policy = LlmPolicy(EndpointConfig(url=mock_endpoint))
+    with pytest.raises(TransportError, match="malformed completion response"):
+        policy.decide(_input(simple_micro))
+
+
+def test_api_key_is_sent_as_a_bearer_token(mock_endpoint, simple_micro):
+    _MockHandler.responses = [_completion("PROBE: topology_summary")] * 2
+    LlmPolicy(EndpointConfig(url=mock_endpoint, api_key="sk-demo")).decide(_input(simple_micro))
+    LlmPolicy(EndpointConfig(url=mock_endpoint)).decide(_input(simple_micro))
+    assert _MockHandler.authorization == ["Bearer sk-demo", None]
 
 
 def test_over_cap_reply_is_a_transport_error(mock_endpoint, simple_micro):

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from remlab import cluster, faults
 from remlab.bench import RunManifest, run_suite
-from remlab.cluster import PerturbationKind
+from remlab.cluster import PerturbationKind, ProbeKind, ProbeQuery
 from remlab.errors import InvalidArgumentError, TransportError
 from remlab.faults import FailureSpec, FailureType, build_aux
 from remlab.loop import Attempt, LoopConfig, observable_verify, reflect, run_episode
-from remlab.playbook import SafetyReport, check_structure
+from remlab.playbook import ExecutionTrace, SafetyReport, TaskResult, TaskStatus, check_structure
 from remlab.policies import (
     ExpertPolicy,
     NoopPolicy,
@@ -54,6 +56,8 @@ def test_loop_config_validation():
         LoopConfig(t_max=-1).validate()
     with pytest.raises(InvalidArgumentError):
         LoopConfig(settle_steps=0).validate()
+    with pytest.raises(InvalidArgumentError):
+        LoopConfig(step_ms=0).validate()
     with pytest.raises(InvalidArgumentError):
         LoopConfig(verification_mode="psychic").validate()
     LoopConfig().validate()
@@ -136,6 +140,117 @@ def test_policy_errors_end_only_their_own_episode(simple_micro, library):
     assert "RuntimeError: policy bug" in result.episodes[4].attempts[0].error
 
 
+class _Emits(Policy):
+    """Returns one fixed output, whatever it is, at every decision."""
+
+    policy_id = "emits"
+
+    def __init__(self, output):
+        self.output = output
+
+    def decide(self, inp):
+        return self.output
+
+
+_MALFORMED_OUTPUTS = {
+    "queries-none": ProbeRequest(queries=None),
+    "queries-list": ProbeRequest(queries=[cluster.pod_metrics_query("orders")]),
+    "query-str": ProbeRequest(queries=("pod_metrics orders",)),
+    "query-kind-bogus": ProbeRequest(queries=(ProbeQuery("bogus", service="orders"),)),
+    "query-service-int": ProbeRequest(queries=(ProbeQuery(ProbeKind.POD_METRICS, service=3),)),
+    "playbook-none": RemedyProposal(None, "", 1, 1),
+    "playbook-bytes": RemedyProposal(b"- name: p", "", 1, 1),
+    "tokens-in-str": RemedyProposal("", "", "5", 1),
+    "tokens-out-float": RemedyProposal("", "", 1, 2.0),
+    "tokens-negative": RemedyProposal("", "", -1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_OUTPUTS))
+def test_malformed_policy_output_is_a_policy_error(simple_micro, library, name):
+    """An output whose fields do not have the declared types tags its own
+    episode; the suite goes on."""
+    scenarios = faults.gen_suite(simple_micro, "easy", seed=1)[:3]
+    manifest = RunManifest(topology="simple-micro", difficulty="easy", seed=1, policy_id="mixed")
+
+    def policy_for(i, scenario):
+        return _Emits(_MALFORMED_OUTPUTS[name]) if i == 1 else ExpertPolicy(library)
+
+    result = run_suite(policy_for, simple_micro, scenarios, manifest)
+    assert [e.error_tag for e in result.episodes] == [None, "policy-error", None]
+    assert [e.success for e in result.episodes] == [True, False, True]
+    (attempt,) = result.episodes[1].attempts
+    assert attempt.probes_used == 0 and attempt.error
+
+
+def test_verification_and_reflection_use_the_loops_own_report(simple_micro):
+    """A policy that points ``inp.report`` at a healthy service is still
+    verified, and reflected on, against the report the loop made."""
+
+    class Misdirecting(NoopPolicy):
+        def decide(self, inp):
+            inp.report = dataclasses.replace(inp.report, target_service="datastore")
+            return super().decide(inp)
+
+    state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
+    assert cluster.nominal(state, "datastore")
+    config = LoopConfig(t_max=1, verification_mode="observable")
+    episode = run_episode(Misdirecting(), state, records, config, report, "s10")
+    assert [a.verdict for a in episode.attempts] == [0, 0]
+    assert episode.success is False and episode.oracle_verdict is False
+    assert episode.observable_verdict is False
+
+
+def test_reflection_names_the_loops_own_report(simple_micro):
+    state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
+    misdirected = dataclasses.replace(report, target_service="datastore")
+    inp = PolicyInput(report=misdirected, context=report.aux_context)
+    reflect(inp, _failed_attempt(), state, report)
+    assert "still degraded after verification: orders" in [i.text for i in inp.history]
+
+
+def test_base_policy_decide_is_a_policy_error(simple_micro):
+    state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
+    episode = run_episode(Policy(), state, records, LoopConfig(), report, "s11")
+    assert episode.error_tag == "policy-error"
+    assert episode.attempts[0].error.startswith("policy raised NotImplementedError")
+
+
+def _probing_episode(simple_micro, queries, probe_budget):
+    """One attempt of a policy that sends ``queries`` once, then proposes an empty playbook."""
+    state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
+    seen = []
+
+    class Prober(Policy):
+        def decide(self, inp):
+            if not seen:
+                seen.append(inp)
+                return ProbeRequest(queries=queries)
+            return RemedyProposal("", "", 0, 0)
+
+    config = LoopConfig(t_max=0, probe_budget=probe_budget)
+    episode = run_episode(Prober(), state, records, config, report)
+    return episode, [(i.kind, i.text) for i in seen[0].history]
+
+
+def test_probe_of_an_unknown_target_is_a_probe_error(simple_micro):
+    queries = (cluster.pod_metrics_query("ghost"), cluster.config_get_query("orders", "nope"))
+    episode, history = _probing_episode(simple_micro, queries, 5)
+    assert episode.error_tag is None and episode.attempts[0].probes_used == 2
+    assert history[:2] == [
+        ("probe_error", "unknown service 'ghost'"),
+        ("probe_error", "unknown config key 'nope' for service 'orders'"),
+    ]
+
+
+def test_request_over_the_remaining_budget_is_cut_and_refused(simple_micro):
+    queries = tuple(cluster.pod_metrics_query(s) for s in ("orders", "gateway", "inventory"))
+    episode, history = _probing_episode(simple_micro, queries, 2)
+    assert episode.attempts[0].probes_used == 2
+    assert [kind for kind, _ in history[:3]] == ["probe_result", "probe_result", "probe_refused"]
+    assert history[1][1].startswith("pod metrics for gateway")
+
+
 def test_budget_law_over_randomized_episodes(simple_micro, library):
     rng = np.random.default_rng(0)
     aux = build_aux(simple_micro)
@@ -204,17 +319,16 @@ def test_observable_unknown_target(simple_micro):
 
     state = cluster.load_topology(simple_micro, seed=1)
     aux = build_aux(simple_micro)
-    report = faults.FailureReport("ghost", "cpu_saturation", "x", aux)
-    with pytest.raises(NotFoundError):
-        observable_verify(state, report)
+    for target in ("ghost", "frontend->datastore"):
+        report = faults.FailureReport(target, "cpu_saturation", "x", aux)
+        with pytest.raises(NotFoundError):
+            observable_verify(state, report)
 
 
 # --- reflect ------------------------------------------------------------------------------
 
 
 def _failed_attempt(**kw):
-    from remlab.playbook import ExecutionTrace, TaskResult, TaskStatus
-
     trace = ExecutionTrace(
         results=[TaskResult("scale", TaskStatus.FAILED, "unknown service")]
     )
@@ -234,7 +348,7 @@ def _failed_attempt(**kw):
 def test_reflect_appends_failed_tasks(simple_micro):
     state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
     inp = PolicyInput(report=report, context=report.aux_context, history=[])
-    reflect(inp, _failed_attempt(), state)
+    reflect(inp, _failed_attempt(), state, report)
     kinds = [i.kind for i in inp.history]
     assert "reflection_failed_tasks" in kinds
     assert any("scale" in i.text for i in inp.history)
@@ -244,17 +358,27 @@ def test_reflect_appends_safety_hits(simple_micro):
     state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
     inp = PolicyInput(report=report, context=report.aux_context, history=[])
     attempt = _failed_attempt(safety=SafetyReport(unsafe=True, matched_rules=("destructive-fs",)))
-    reflect(inp, attempt, state)
+    reflect(inp, attempt, state, report)
     assert any("destructive-fs" in i.text for i in inp.history)
+
+
+def test_reflect_appends_unrecognized_commands(simple_micro):
+    state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
+    inp = PolicyInput(report=report, context=report.aux_context, history=[])
+    trace = ExecutionTrace(results=[TaskResult("frob the widget", TaskStatus.UNRECOGNIZED)])
+    reflect(inp, _failed_attempt(trace=trace), state, report)
+    assert ("reflection_unrecognized", "unrecognized commands in tasks: frob the widget") in [
+        (i.kind, i.text) for i in inp.history
+    ]
 
 
 def test_reflect_grows_history_monotonically(simple_micro):
     state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
     inp = PolicyInput(report=report, context=report.aux_context, history=[])
     n0 = len(inp.history)
-    reflect(inp, _failed_attempt(), state)
+    reflect(inp, _failed_attempt(), state, report)
     n1 = len(inp.history)
-    reflect(inp, _failed_attempt(), state)
+    reflect(inp, _failed_attempt(), state, report)
     n2 = len(inp.history)
     assert n0 < n1 < n2
     # report text itself never changes

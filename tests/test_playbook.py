@@ -140,6 +140,24 @@ def test_parse_tolerates_missing_hosts():
     assert pb.plays[0].hosts is None
 
 
+def test_tasks_that_are_not_a_list_do_not_parse():
+    with pytest.raises(PlaybookParseError, match="play 0: tasks must be a list"):
+        parse_playbook("- name: p\n  hosts: all\n  tasks: oops\n")
+
+
+def test_recursion_in_the_walk_is_a_parse_failure(monkeypatch, cpu_scale_playbook_text):
+    """The RecursionError handlers, reached by raising the error directly: a
+    real one switches ``sys.settrace`` off, so tests/reach.py would not see them."""
+
+    def walk(raw):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(playbook, "_walk", walk)
+    with pytest.raises(PlaybookParseError, match="nested too deeply"):
+        parse_playbook(cpu_scale_playbook_text)
+    assert read_proposal(cpu_scale_playbook_text) == (None, playbook.EMPTY_STRUCT)
+
+
 # --- render round trip -------------------------------------------------------------
 
 _names = st.text(alphabet="abcdefgh -", min_size=0, max_size=10)
@@ -1003,6 +1021,13 @@ def test_skipped_counts_as_executed():
         ]
     )
     assert r_exec(trace) == 1.0
+
+
+def test_get_metrics_of_an_unknown_service_fails_its_task(state):
+    text = "- name: p\n  hosts: all\n  tasks:\n    - {name: t, shell: get-metrics ghost cpu}\n"
+    pb = parse_playbook(text)
+    (result,) = execute(pb, state).results
+    assert (result.status, result.stdout) == (TaskStatus.FAILED, "unknown service 'ghost'")
 
 
 # --- catalog totality -------------------------------------------------------------------

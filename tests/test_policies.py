@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from remlab import cluster, faults, yamlio
-from remlab.errors import TranscriptExhaustedError
+from remlab.errors import InvalidArgumentError, TranscriptExhaustedError
 from remlab.faults import FailureSpec, FailureType, build_aux, make_report
 from remlab.policies import (
     CONTEXT_CLASSES,
@@ -22,7 +22,7 @@ from remlab.policies import (
     build_default_library,
     context_probes,
 )
-from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology
+from remlab.topology import BUNDLED_TOPOLOGIES, bundled_topology, parse_topology
 
 SEED = 13
 
@@ -189,6 +189,26 @@ def test_context_classification_without_probes_defaults_false(simple_micro):
     inp = PolicyInput(report=report, context=aux, history=[])
     f = classify_context(inp, simple_micro)
     assert CONTEXT_CLASSES[f] == (FailureType.NETWORK_LOSS, False, False)
+
+
+def test_theta_must_match_the_library(library, simple_micro):
+    with pytest.raises(InvalidArgumentError, match="theta must have shape"):
+        ToyPolicy(np.zeros((N_CONTEXT_CLASSES, len(library) + 1)), library, simple_micro)
+
+
+def test_link_template_on_an_unlinked_service_shapes_the_first_link():
+    """A link template aimed at a service that no link touches clears the
+    topology's first link."""
+    topology = parse_topology(
+        {
+            "name": "t",
+            "services": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+            "links": [{"src": "a", "dst": "b"}, {"src": "b", "dst": "a"}],
+        }
+    )
+    doc = build_default_library(topology).play_doc(4, FailureType.CPU_SATURATION, "c")
+    assert doc["hosts"] == "a"
+    assert [task["shell"] for task in doc["tasks"]] == ["tc qdisc del dev a:b netem delay"]
 
 
 def test_template_library_shape(library):

@@ -113,3 +113,46 @@ def test_adjacency(simple_micro):
     assert simple_micro.adjacent("frontend", "gateway")
     assert simple_micro.adjacent("gateway", "frontend")
     assert not simple_micro.adjacent("frontend", "datastore")
+
+
+def _doc(service=None, link=None, **top):
+    """A one-link topology document with one field of the first service, of the
+    link, or of the document itself replaced."""
+    doc = {
+        "name": "t",
+        "services": [{"name": "a", **(service or {})}, {"name": "b"}],
+        "links": [{"src": "a", "dst": "b", **(link or {})}],
+    }
+    doc.update(top)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_doc(name=""), "non-empty 'name'"),
+        (_doc(name=7), "non-empty 'name'"),
+        (_doc(services=[]), "declares no services"),
+        (_doc(services={"a": {}}), "'services' must be a list"),
+        (_doc(services=["a"]), "service entry must be a mapping"),
+        (_doc(services=[{"replicas": 1}]), "service needs a non-empty 'name'"),
+        (_doc(service={"dependencies": "b"}), "dependencies must be a list of names"),
+        (_doc(service={"dependencies": [1]}), "dependencies must be a list of names"),
+        (_doc(service={"config": ["k"]}), "config must be a mapping"),
+        (_doc(service={"baseline": [1.0]}), "baseline must be a mapping"),
+        (_doc(service={"baseline": {"cpu_pct": 101.0}}), r"baseline percents must be in \[0,100\]"),
+        (_doc(service={"baseline": {"mem_pct": -1.0}}), r"baseline percents must be in \[0,100\]"),
+        (_doc(service={"baseline": {"io_await_ms": -0.5}}), "io_await_ms must be >= 0"),
+        (_doc(links=["a->b"]), "link entry must be a mapping"),
+        (_doc(link={"dst": "ghost"}), "references undeclared service"),
+        (_doc(link={"base_latency_ms": -1.0}), "base_latency_ms must be >= 0"),
+    ],
+)
+def test_invalid_document_is_a_topology_error(doc, message):
+    with pytest.raises(TopologyError, match=message):
+        parse_topology(doc)
+
+
+def test_unknown_bundled_name_lists_the_bundled_ones():
+    with pytest.raises(TopologyError, match="available: simple-micro, boutique-like, ticket-like"):
+        bundled_topology("mega-micro")

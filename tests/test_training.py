@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from remlab import bench, cluster, faults, training
-from remlab.errors import EmptyDatasetError, InvalidArgumentError
+from remlab.errors import DivergenceError, EmptyDatasetError, InvalidArgumentError
 from remlab.loop import LoopConfig
-from remlab.policies import ExpertPolicy, N_CONTEXT_CLASSES, NoopPolicy, ToyPolicy
+from remlab.policies import CONTEXT_CLASSES, ExpertPolicy, N_CONTEXT_CLASSES, NoopPolicy, ToyPolicy
 from remlab.training import (
+    LearningCurve,
     PrefPair,
     RolloutGroup,
     RolloutSample,
@@ -30,6 +31,11 @@ H = 1e-5
 def env(simple_micro, library):
     scenarios = [s for s in faults.gen_suite(simple_micro, "easy", 1) if len(s.faults) == 1]
     return TrainEnv(topology=simple_micro, scenarios=scenarios, library=library)
+
+
+@pytest.fixture(scope="module")
+def sft_data(env, library):
+    return harvest_expert(env, ExpertPolicy(library), n=len(env.scenarios), seed=5)
 
 
 def _random_policy(library, topology, seed=0, scale=0.7):
@@ -341,6 +347,29 @@ def test_harvest_noop_teacher_raises(env):
         harvest_expert(env, NoopPolicy(), n=5, seed=5)
 
 
+def test_harvest_needs_a_positive_count(env, library):
+    with pytest.raises(InvalidArgumentError):
+        harvest_expert(env, ExpertPolicy(library), n=0)
+
+
+def _expert_theta(library):
+    """A theta that all but always picks, in every context class, the template
+    that fixes the class's failure type."""
+    theta = np.zeros((N_CONTEXT_CLASSES, len(library)))
+    for f, (ftype, _, _) in enumerate(CONTEXT_CLASSES):
+        theta[f, library.expert_action(ftype)] = 60.0
+    return theta
+
+
+def test_mining_pairs_no_failure_whose_last_action_is_the_expert_one(library, simple_micro):
+    """On two-fault scenarios the action for the first fault leaves the second
+    in place, so every rollout fails with the expert action last: no pair."""
+    scenarios = faults.gen_suite(simple_micro, "medium", 1)[:4]
+    env = TrainEnv(topology=simple_micro, scenarios=scenarios, library=library)
+    policy = ToyPolicy(_expert_theta(library), library, simple_micro)
+    assert training.mine_preference_pairs(env, policy, n_rollouts=8) == []
+
+
 def test_harvested_actions_replay_to_oracle_success(env, library, simple_micro):
     """Every harvested action, replayed through the playbook engine on a
     fresh injection of its scenario, verifies against the oracle."""
@@ -362,9 +391,9 @@ def test_harvested_actions_replay_to_oracle_success(env, library, simple_micro):
         assert faults.oracle_verify(state, record), scenario.scenario_id
 
 
-def test_sft_stage_drives_loss_below_threshold(env):
+def test_sft_stage_drives_loss_below_threshold(env, sft_data):
     policy, curve = train_stage(
-        TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5), env
+        TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5), env, sft_data=sft_data
     )
     assert curve.points[-1]["loss"] < 0.1
     assert len(curve.points) <= 200
@@ -402,6 +431,43 @@ def test_rollout_and_benchmark_episode_agree(env, library, simple_micro):
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("learning_rate", 0.0), ("iterations", 0), ("group_size", 1), ("dpo_beta", 0.0)],
+)
+def test_train_config_validation(field, value):
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(TrainConfig(stage="sft"), **{field: value}).validate()
+
+
+def test_stages_train_only_on_the_data_they_are_given(env, library, simple_micro):
+    with pytest.raises(EmptyDatasetError):
+        train_stage(TrainConfig(stage="sft", iterations=5), env)
+    with pytest.raises(EmptyDatasetError):
+        train_stage(
+            TrainConfig(stage="real_rft", iterations=5),
+            env,
+            init_policy=ToyPolicy.uniform(library, simple_micro),
+        )
+
+
+def test_sft_stops_once_the_loss_is_below_threshold(env):
+    config = TrainConfig(stage="sft", learning_rate=50.0, iterations=200)
+    _, curve = train_stage(config, env, sft_data=[SftExample(0, "", 1)])
+    assert len(curve.points) < config.iterations
+    assert curve.points[-1]["loss"] < 1e-3 <= curve.points[-2]["loss"]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_loss_is_a_divergence(env, library, simple_micro):
+    theta = np.zeros((N_CONTEXT_CLASSES, len(library)))
+    theta[0, 0] = np.inf
+    policy = ToyPolicy(theta, library, simple_micro)
+    data = [SftExample(0, "", 1)]
+    with pytest.raises(DivergenceError, match="iteration 0"):
+        train_stage(TrainConfig(stage="sft"), env, init_policy=policy, sft_data=data)
+
+
 def test_stage_prerequisites_enforced(env):
     with pytest.raises(InvalidArgumentError):
         train_stage(TrainConfig(stage="sim_rft", seed=0), env, init_policy=None)
@@ -427,9 +493,20 @@ def test_checkpoint_round_trip(env, library, simple_micro, tmp_path):
     assert np.array_equal(restored.theta, policy.theta)
 
 
-def test_curve_csv_shape(env):
+def test_unknown_checkpoint_format(library, simple_micro, tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text('{"format": "toy-policy/v0", "theta": []}\n')
+    with pytest.raises(InvalidArgumentError, match="unknown checkpoint format"):
+        training.load_checkpoint(str(path), library, simple_micro)
+
+
+def test_empty_curve_csv_is_the_header():
+    assert LearningCurve(stage="sft").to_csv() == "iteration,loss\n"
+
+
+def test_curve_csv_shape(env, sft_data):
     _, curve = train_stage(
-        TrainConfig(stage="sft", learning_rate=2.0, iterations=5, seed=5), env
+        TrainConfig(stage="sft", learning_rate=2.0, iterations=5, seed=5), env, sft_data=sft_data
     )
     text = curve.to_csv()
     lines = text.strip().splitlines()
@@ -462,11 +539,13 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_memo_simulates_each_distinct_rollout_once(env, monkeypatch):
+def test_memo_simulates_each_distinct_rollout_once(env, sft_data, monkeypatch):
     """Criterion 07's sim_rft and mining chain: every call still goes through
     ``training.rollout``; sim_rft simulates only distinct rollouts, mining
     simulates every one."""
-    sft, _ = train_stage(TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5), env)
+    sft, _ = train_stage(
+        TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5), env, sft_data=sft_data
+    )
     calls = _counting(monkeypatch, training, "rollout")
     sims = _counting(monkeypatch, faults, "prepare_episode")
     grpo, _ = train_stage(
@@ -499,6 +578,23 @@ def test_memo_serves_only_plain_toy_policies(env, library, simple_micro, monkeyp
 
 def _rollout_view(episode, state, sampler):
     return bench.episodes_to_jsonl([episode]), list(sampler.last_decisions), cluster.digest(state)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_memo_simulates_a_draw_that_raises(env, library, simple_micro):
+    """A sampler whose draw raises at a stored node is simulated, and gets the
+    policy-error episode a fresh rollout gives."""
+    scenario = env.scenarios[0]
+    memo: dict = {}
+    training.rollout(env, ToyPolicy.uniform(library, simple_micro), scenario, 3, memo)
+    (root,) = memo.values()
+    theta = np.zeros((N_CONTEXT_CLASSES, len(library)))
+    theta[root.f] = np.nan
+    plain, cached = (ToyPolicy(theta, library, simple_micro) for _ in range(2))
+    expected = _rollout_view(*training.rollout(env, plain, scenario, 3), plain)
+    got = _rollout_view(*training.rollout(env, cached, scenario, 3, memo), cached)
+    assert got == expected
+    assert '"error_tag": "policy-error"' in got[0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
