@@ -44,13 +44,13 @@ bad = playbook.parse_playbook("- name: p\n  hosts: all\n  tasks:\n    - {name: n
 print("destructive variant unsafe =", playbook.check_safety(bad, constraints).matched_rules)
 
 topo = parse_topology(
-    {
-        "name": "demo",
-        "services": [
-            {"name": "my-service", "replicas": 2,
-             "baseline": {"cpu_pct": 25.0, "mem_pct": 40.0, "io_await_ms": 5.0}}
-        ],
-    }
+    """
+name: demo
+services:
+  - name: my-service
+    replicas: 2
+    baseline: {cpu_pct: 25.0, mem_pct: 40.0, io_await_ms: 5.0}
+"""
 )
 
 print("\nhot cluster (cpu 85%):")

@@ -50,6 +50,6 @@ with tempfile.TemporaryDirectory(prefix="remlab-demo-") as root:
 
     # Replay: recompute aggregates from the log and re-execute every episode's
     # proposals against fresh injections; digests must match.
-    outcome = bench.replay_run(run_dir, topology=topo)
+    outcome = bench.replay_run(run_dir)
     print(f"replay: aggregates_match={outcome['aggregates_match']} "
           f"digest_matches={outcome['digest_matches']}/{outcome['replayed']}")

@@ -9,50 +9,3 @@ tabular softmax policy.
 """
 
 __version__ = "0.1.0"
-
-from . import bench, cluster, faults, grading, loop, playbook, policies, topology, training
-from .cluster import ClusterState, digest, load_topology, observe, step
-from .cluster import apply as apply_action
-from .faults import FailureSpec, FailureType, gen_suite, inject, make_report, oracle_verify, restore
-from .loop import LoopConfig, run_episode
-from .playbook import check_safety, check_structure, execute, parse_playbook
-from .policies import ExpertPolicy, NoopPolicy, ToyPolicy, build_default_library
-from .topology import bundled_topology, parse_topology
-
-__all__ = [
-    "__version__",
-    "ClusterState",
-    "ExpertPolicy",
-    "FailureSpec",
-    "FailureType",
-    "LoopConfig",
-    "NoopPolicy",
-    "ToyPolicy",
-    "apply_action",
-    "bench",
-    "build_default_library",
-    "bundled_topology",
-    "check_safety",
-    "check_structure",
-    "cluster",
-    "digest",
-    "execute",
-    "faults",
-    "gen_suite",
-    "grading",
-    "inject",
-    "load_topology",
-    "loop",
-    "make_report",
-    "observe",
-    "oracle_verify",
-    "parse_playbook",
-    "parse_topology",
-    "playbook",
-    "policies",
-    "restore",
-    "run_episode",
-    "step",
-    "topology",
-    "training",
-]

@@ -25,13 +25,13 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from . import faults, playbook
+from . import faults, loop, playbook
 from .errors import RunError
-from .faults import Scenario
+from .faults import AuxContext, Scenario
 from .grading import RewardWeights, grade
 from .loop import Attempt, Episode, LoopConfig, run_episode
 from .playbook import SafetyReport, StructReport, TaskResult, TaskStatus
-from .policies import Policy, ProbeRequest, RemedyProposal, ReplayPolicy
+from .policies import Policy, PolicyInput, PolicyOutput, ProbeRequest, RemedyProposal
 from .topology import bundled_topology
 
 EPISODE_SCHEMA = "episode/v1"
@@ -153,15 +153,15 @@ def run_scenario(
     topology,
     manifest: RunManifest,
     policy: Policy,
-    aux=None,
+    aux: AuxContext,
 ) -> Episode:
     """Fresh cluster, inject all faults, settle, run the episode."""
-    state, records, report = faults.prepare_episode(
+    state, records, report = loop.prepare_episode(
         topology,
         scenario,
         faults.state_seed_for(manifest.seed, scenario.scenario_id),
         manifest.loop,
-        aux or faults.build_aux(topology),
+        aux,
     )
     return run_episode(
         policy, state, records, manifest.loop, report, scenario_id=scenario.scenario_id
@@ -424,7 +424,21 @@ def _fmt_opt(value) -> str:
 # --- replay -----------------------------------------------------------------------------
 
 
-def replay_run(run_dir: str, topology=None) -> dict:
+class _AttemptReplay(Policy):
+    """Answers each attempt with the proposal its log records. An attempt that
+    logged none gets empty probe requests, so the loop gives up on it as it did."""
+
+    policy_id = "replay"
+
+    def __init__(self, proposals: Sequence[RemedyProposal | None]):
+        self._proposals = proposals
+
+    def decide(self, inp: PolicyInput) -> PolicyOutput:
+        proposal = self._proposals[inp.attempt_index()]
+        return ProbeRequest(queries=()) if proposal is None else proposal
+
+
+def replay_run(run_dir: str) -> dict:
     """Verify a persisted run: recompute aggregates and re-execute episodes.
 
     Aggregates must reproduce exactly from the episode log. Each episode's
@@ -436,36 +450,29 @@ def replay_run(run_dir: str, topology=None) -> dict:
     recomputed = compute_aggregates(episodes)
     aggregates_match = recomputed == stored
 
-    if topology is None:
-        topology = bundled_topology(manifest_doc["topology"])
+    topology = bundled_topology(manifest_doc["topology"])
     manifest = RunManifest.from_doc(manifest_doc)
     scenario_by_id = {s.scenario_id: s for s in scenarios}
     aux = faults.build_aux(topology)
-    # A logged no-proposal attempt is replayed as empty probe requests: the
-    # loop asks for budget + 2 decisions before it gives up, and settles none.
-    budget = 0 if manifest.loop.no_probe else manifest.loop.probe_budget
-    no_proposal = [ProbeRequest(queries=())] * (budget + 2)
     digest_matches = 0
     replayed = 0
     for episode in episodes:
         scenario = scenario_by_id.get(episode.scenario_id)
         if scenario is None or episode.error_tag:
             continue
-        outputs = []
-        for a in episode.attempts:
-            if a.error == "no-proposal":
-                outputs += no_proposal
-            else:
-                outputs.append(
-                    RemedyProposal(
-                        playbook_text=a.playbook_text,
-                        reasoning_text="",
-                        tokens_in=a.tokens_in,
-                        tokens_out=a.tokens_out,
-                    )
-                )
+        proposals = [
+            None
+            if a.error == "no-proposal"
+            else RemedyProposal(
+                playbook_text=a.playbook_text,
+                reasoning_text="",
+                tokens_in=a.tokens_in,
+                tokens_out=a.tokens_out,
+            )
+            for a in episode.attempts
+        ]
         replay_episode = run_scenario(
-            scenario, topology, manifest, ReplayPolicy(outputs), aux
+            scenario, topology, manifest, _AttemptReplay(proposals), aux
         )
         replayed += 1
         if (

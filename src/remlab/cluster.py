@@ -66,7 +66,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import InvalidArgumentError, NotFoundError
-from .topology import Topology, summarize
+from .topology import ServiceSpec, Topology, summarize
 
 RELAX_TAU_MS = 5000.0
 NOISE_SIGMA = 2.0
@@ -380,9 +380,26 @@ class ClusterState:
     def service_pods(self, service: str) -> list[PodState]:
         return [p for p in self.pods if p.service == service]
 
-    def find_link(self, src: str, dst: str) -> NetworkLink | None:
+    # The checked accessors: each raises NotFoundError for a name the cluster lacks.
+
+    def service_spec(self, service: str) -> ServiceSpec:
+        spec = self.topology.services.get(service)
+        if spec is None:
+            raise NotFoundError(f"unknown service {service!r}")
+        return spec
+
+    def link(self, src: str, dst: str) -> NetworkLink:
         row = self._link_row.get(link_key(src, dst))
-        return None if row is None else self.links[row]
+        if row is None:
+            raise NotFoundError(f"unknown link {src!r} -> {dst!r}")
+        return self.links[row]
+
+    def declared(self, service: str, key: str) -> str:
+        """The declared value of config ``key`` of ``service``."""
+        config = self.service_spec(service).config
+        if key not in config:
+            raise NotFoundError(f"unknown config key {key!r} for service {service!r}")
+        return config[key]
 
     def active(self, kind: PerturbationKind, target: str) -> list[Perturbation]:
         return [p for p in self.perturbations if p.kind == kind and p.target == target]
@@ -493,10 +510,8 @@ def _remove_perturbations(state: ClusterState, perts: list[Perturbation]) -> int
 
 
 def snap_link_metric(state: ClusterState, kind: PerturbationKind, target: str) -> None:
-    """Zero the metric a link kind drives on link ``target``, if that link exists."""
-    link = state.find_link(*split_link_key(target))
-    if link is not None:
-        setattr(link, METRIC_OF[kind].name, 0.0)
+    """Zero the metric a link kind drives on link ``target``."""
+    setattr(state.link(*split_link_key(target)), METRIC_OF[kind].name, 0.0)
 
 
 def reset_pods(state: ClusterState, pods: list[PodState]) -> None:
@@ -549,13 +564,19 @@ def step(state: ClusterState, dt_ms: int) -> ClusterState:
     return state
 
 
+def settle(state: ClusterState, steps: int, dt_ms: int) -> None:
+    """Advance ``steps`` steps of ``dt_ms`` each: the settle after injection or execution."""
+    for _ in range(steps):
+        step(state, dt_ms)
+
+
 # --- observe ------------------------------------------------------------------
 
 
 def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
     """Answer a read-only query. Never mutates state."""
     if query.kind == ProbeKind.POD_METRICS:
-        pods = _require_service_pods(state, query.service)
+        pods = state.service_pods(state.service_spec(query.service).name)
         payload = {
             "service": query.service,
             "pods": [
@@ -579,7 +600,7 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
         return ProbeResult(query, payload, "\n".join(lines))
 
     if query.kind == ProbeKind.POD_LIST:
-        pods = _require_service_pods(state, query.service)
+        pods = state.service_pods(state.service_spec(query.service).name)
         payload = {
             "service": query.service,
             "pods": [{"pod_id": p.pod_id, "phase": p.phase.value} for p in pods],
@@ -589,13 +610,8 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
         return ProbeResult(query, payload, "\n".join(lines))
 
     if query.kind == ProbeKind.CONFIG_GET:
-        if query.service not in state.topology.services:
-            raise NotFoundError(f"unknown service {query.service!r}")
-        spec = state.topology.service(query.service)
-        if query.key not in spec.config:
-            raise NotFoundError(f"unknown config key {query.key!r} for service {query.service!r}")
+        declared = state.declared(query.service, query.key)
         current = state.config_store[(query.service, query.key)]
-        declared = spec.config[query.key]
         payload = {
             "service": query.service,
             "key": query.key,
@@ -608,9 +624,7 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
         return ProbeResult(query, payload, text)
 
     if query.kind == ProbeKind.LINK_STATS:
-        link = state.find_link(query.src, query.dst)
-        if link is None:
-            raise NotFoundError(f"unknown link {query.src!r} -> {query.dst!r}")
+        link = state.link(query.src, query.dst)
         payload = {
             "src": link.src,
             "dst": link.dst,
@@ -632,12 +646,6 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
     raise InvalidArgumentError(f"unknown probe kind {query.kind!r}")
 
 
-def _require_service_pods(state: ClusterState, service: str | None) -> list[PodState]:
-    if service not in state.topology.services:
-        raise NotFoundError(f"unknown service {service!r}")
-    return state.service_pods(service)
-
-
 # --- apply --------------------------------------------------------------------
 
 
@@ -651,18 +659,17 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
         return state, ActionOutcome(changed=True, stdout=f"pod {pod.pod_id} restarted")
 
     if isinstance(action, RestartService):
-        pods = _require_service_pods(state, action.service)
+        pods = state.service_pods(state.service_spec(action.service).name)
         _restart_pods(state, pods)
         return state, ActionOutcome(
             changed=True, stdout=f"service {action.service} restarted ({len(pods)} pods)"
         )
 
     if isinstance(action, ScaleService):
-        if action.service not in state.topology.services:
-            raise NotFoundError(f"unknown service {action.service!r}")
+        spec = state.service_spec(action.service)
         if action.replicas < 0:
             raise InvalidArgumentError("replicas must be >= 0")
-        cap = MAX_SCALE_FACTOR * state.topology.service(action.service).desired_replicas
+        cap = MAX_SCALE_FACTOR * spec.desired_replicas
         if action.replicas > cap:
             raise InvalidArgumentError(
                 f"service {action.service} scales to at most {cap} replicas"
@@ -679,13 +686,7 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
         )
 
     if isinstance(action, SetConfig):
-        if action.service not in state.topology.services:
-            raise NotFoundError(f"unknown service {action.service!r}")
-        spec = state.topology.service(action.service)
-        if action.key not in spec.config:
-            raise NotFoundError(
-                f"unknown config key {action.key!r} for service {action.service!r}"
-            )
+        state.declared(action.service, action.key)
         old = set_config(state, action.service, action.key, action.value)
         return state, ActionOutcome(
             changed=old != action.value,
@@ -700,9 +701,7 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
         return state, ActionOutcome(changed=True, stdout=f"process {action.handle} killed")
 
     if isinstance(action, ClearLinkShaping):
-        if state.find_link(action.src, action.dst) is None:
-            raise NotFoundError(f"unknown link {action.src!r} -> {action.dst!r}")
-        target = link_key(action.src, action.dst)
+        target = state.link(action.src, action.dst).key
         perts = [
             p for p in state.perturbations if p.kind in LINK_KINDS and p.target == target
         ]
@@ -795,16 +794,12 @@ def nominal(state: ClusterState, target: str, metrics: tuple[str, ...] | None = 
     cluster does not have.
     """
     if "->" in target:
-        link = state.find_link(*split_link_key(target))
-        if link is None:
-            raise NotFoundError(f"unknown link {target!r}")
+        link = state.link(*split_link_key(target))
         for metric in LINK_METRICS if metrics is None else metrics:
             if not in_band(getattr(link, metric), 0.0):
                 return False
         return True
-    if target not in state.topology.services:
-        raise NotFoundError(f"unknown service {target!r}")
-    baseline = state.topology.service(target).baseline
+    baseline = state.service_spec(target).baseline
     judged = POD_METRICS if metrics is None else metrics
     pods = state.service_pods(target)
     for pod in pods:

@@ -21,7 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -36,12 +36,9 @@ from .cluster import (
     split_link_key,
     target_services,
 )
-from .errors import InjectionError, LineageError, NotFoundError, SuiteGenerationError
+from .errors import InjectionError, LineageError, SuiteGenerationError
 from .playbook import SAFETY_RULE_IDS, catalog_documentation
 from .topology import Topology, summarize
-
-if TYPE_CHECKING:
-    from .loop import LoopConfig  # unreached: only type checkers run this import
 
 CORRUPT_VALUE = "!!corrupted!!"
 
@@ -156,8 +153,7 @@ class AuxContext:
 class FailureReport:
     """Diagnosis text handed to a policy; carries no ground-truth handles."""
 
-    target_service: str
-    failure_type: str
+    faults: tuple[tuple[FailureType, str], ...]  # (failure type, target) per reported fault
     description: str
     aux_context: AuxContext
 
@@ -202,11 +198,9 @@ def inject(state: ClusterState, spec: FailureSpec) -> FailureRecord:
         )
 
     if spec.ftype in NETWORK_TYPES:
-        src, dst = split_link_key(spec.target)
-        if state.find_link(src, dst) is None:
-            raise NotFoundError(f"unknown link {spec.target!r}")
-    elif spec.target not in state.topology.services:
-        raise NotFoundError(f"unknown service {spec.target!r}")
+        state.link(*split_link_key(spec.target))
+    else:
+        state.service_spec(spec.target)
 
     if _is_active(state, spec):
         raise InjectionError(f"active injection already exists for {spec.ftype.value} on {spec.target!r}")
@@ -282,8 +276,7 @@ def make_report(record: FailureRecord, aux: AuxContext) -> FailureReport:
     else:
         description = template.format(target=spec.target, label=label)
     return FailureReport(
-        target_service=spec.target,
-        failure_type=spec.ftype.value,
+        faults=((spec.ftype, spec.target),),
         description=description,
         aux_context=aux,
     )
@@ -296,47 +289,18 @@ def composite_report(reports: list[FailureReport]) -> FailureReport:
     if len(reports) == 1:
         return reports[0]
     return FailureReport(
-        target_service=",".join(r.target_service for r in reports),
-        failure_type=",".join(r.failure_type for r in reports),
+        faults=tuple(fault for r in reports for fault in r.faults),
         description="\n\n".join(r.description for r in reports),
         aux_context=reports[0].aux_context,
     )
 
 
-def report_faults(report: FailureReport) -> list[tuple[FailureType, str]]:
-    """Recover the (failure type, target) pairs named by a (composite) report."""
-    types = report.failure_type.split(",")
-    targets = report.target_service.split(",")
-    return [(FailureType(t), target) for t, target in zip(types, targets)]
-
-
-# --- episode prefix -------------------------------------------------------------
+# --- episode seed -----------------------------------------------------------------
 
 
 def state_seed_for(base_seed: int, scenario_id: str) -> int:
     """Seed of the fresh cluster an episode of ``scenario_id`` boots from."""
     return _stable_u32(f"{base_seed}:{scenario_id}")
-
-
-def prepare_episode(
-    topology: Topology,
-    scenario: Scenario,
-    state_seed: int,
-    loop_config: LoopConfig,
-    aux: AuxContext,
-) -> tuple[ClusterState, list[FailureRecord], FailureReport]:
-    """Boot a fresh cluster, inject every fault, settle, and report.
-
-    Returns the faulted state, the ground-truth records and the composite
-    report a policy sees. Benchmark episodes and training rollouts both
-    start from here, so they see the same failure for the same seed.
-    """
-    state = cluster.load_topology(topology, seed=state_seed)
-    records = [inject(state, spec) for spec in scenario.faults]
-    for _ in range(loop_config.settle_steps):
-        cluster.step(state, loop_config.step_ms)
-    report = composite_report([make_report(r, aux) for r in records])
-    return state, records, report
 
 
 # --- verification and recovery -------------------------------------------------

@@ -1,13 +1,14 @@
 """The bounded remediation loop: probe, generate, execute, verify, reflect.
 
 One episode drives a single policy against a single injected failure
-scenario. Within each attempt the policy may issue probe queries up to a
-per-attempt budget, then must propose a playbook. The proposal is parsed,
-structure-checked, safety-screened, executed, the cluster settles, and a
-verification predicate produces a binary verdict. On failure, a reflection
-step appends what went wrong (failed tasks, unrecognized commands, safety
-hits, still-degraded targets) to the policy input and the loop retries,
-bounded by the retry budget: total attempts never exceed t_max + 1.
+scenario, prepared by ``prepare_episode``. Within each attempt the policy
+may issue probe queries up to a per-attempt budget, then must propose a
+playbook. The proposal is parsed, structure-checked, safety-screened,
+executed, the cluster settles, and a verification predicate produces a
+binary verdict. On failure, a reflection step appends what went wrong
+(failed tasks, unrecognized commands, safety hits, unparsed proposals,
+still-degraded targets) to the policy input and the loop retries, bounded
+by the retry budget: total attempts never exceed t_max + 1.
 
 Two verification modes exist. ``oracle`` consults the ground-truth
 injection records (the benchmark setting); ``observable`` sees only the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from . import cluster, faults, playbook
 from .cluster import ClusterState, ProbeKind, ProbeQuery
 from .errors import InvalidArgumentError, NotFoundError, TransportError
-from .faults import FailureRecord, FailureReport
+from .faults import AuxContext, FailureRecord, FailureReport, Scenario
 from .playbook import ExecutionTrace, SafetyConstraints, SafetyReport, StructReport
 from .policies import (
     HistoryItem,
@@ -32,6 +33,7 @@ from .policies import (
     ProbeRequest,
     RemedyProposal,
 )
+from .topology import Topology
 
 VERIFICATION_MODES = ("oracle", "observable")
 
@@ -92,13 +94,33 @@ class Episode:
     report_description: str = ""
 
 
+def prepare_episode(
+    topology: Topology,
+    scenario: Scenario,
+    state_seed: int,
+    loop_config: LoopConfig,
+    aux: AuxContext,
+) -> tuple[ClusterState, list[FailureRecord], FailureReport]:
+    """Boot a fresh cluster, inject every fault, settle, and report.
+
+    Returns the faulted state, the ground-truth records and the composite
+    report a policy sees. Benchmark episodes and training rollouts both
+    start from here, so they see the same failure for the same seed.
+    """
+    state = cluster.load_topology(topology, seed=state_seed)
+    records = [faults.inject(state, spec) for spec in scenario.faults]
+    cluster.settle(state, loop_config.settle_steps, loop_config.step_ms)
+    report = faults.composite_report([faults.make_report(r, aux) for r in records])
+    return state, records, report
+
+
 def observable_verify(state: ClusterState, report: FailureReport) -> bool:
     """Verification without ground truth: every reported target is nominal
     on all its metrics (``cluster.nominal``).
 
     Raises NotFoundError for a target the cluster does not have.
     """
-    return all(cluster.nominal(state, t) for t in report.target_service.split(","))
+    return not _degraded_targets(state, report)
 
 
 def reflect(
@@ -131,7 +153,7 @@ def reflect(
                 "safety rules matched: " + ", ".join(attempt.safety.matched_rules),
             )
         )
-    if not attempt.struct.checks.get("parsable", False):
+    if attempt.error is None and attempt.trace is None:  # a proposal that did not parse
         inp.history.append(
             HistoryItem("reflection_parse", "previous playbook did not parse")
         )
@@ -147,7 +169,7 @@ def reflect(
 
 
 def _degraded_targets(state: ClusterState, report: FailureReport) -> list[str]:
-    return [t for t in report.target_service.split(",") if not cluster.nominal(state, t)]
+    return [t for _, t in report.faults if not cluster.nominal(state, t)]
 
 
 def run_episode(
@@ -166,8 +188,8 @@ def run_episode(
     episode = Episode(
         scenario_id=scenario_id,
         policy_id=policy.policy_id,
-        report_target=report.target_service,
-        report_type=report.failure_type,
+        report_target=",".join(target for _, target in report.faults),
+        report_type=",".join(ftype.value for ftype, _ in report.faults),
         report_description=report.description,
     )
 
@@ -265,8 +287,7 @@ def _run_attempt(
         safety = playbook.check_safety(parsed, constraints)
         trace = playbook.execute(parsed, state)
 
-    for _ in range(config.settle_steps):
-        cluster.step(state, config.step_ms)
+    cluster.settle(state, config.settle_steps, config.step_ms)
 
     if config.verification_mode == "oracle":
         verdict = int(all(faults.oracle_verify(state, r) for r in records))
@@ -323,7 +344,7 @@ def _valid_query(query: object) -> bool:
 def _neighborhood_scope(state: ClusterState, report: FailureReport) -> tuple[str, ...]:
     """Reported targets plus their direct dependency neighborhood."""
     scope: set[str] = set()
-    for target in report.target_service.split(","):
+    for _, target in report.faults:
         scope.update(cluster.target_services(target))
     for svc in list(scope):
         scope |= set(state.topology.service(svc).dependencies)

@@ -68,23 +68,6 @@ _ACTION_KEYS = ("shell", "command")
 MAX_PROPOSAL_CHARS = 8192
 
 
-def _load(text: str) -> object:
-    """Load one YAML document, raising PlaybookParseError when it cannot be loaded.
-
-    Text longer than MAX_PROPOSAL_CHARS is not loaded. Any loader exception
-    is a parse failure: malformed YAML, but also e.g. ``ValueError`` for an
-    impossible date or ``RecursionError`` for deep nesting.
-    """
-    if len(text) > MAX_PROPOSAL_CHARS:
-        raise PlaybookParseError(
-            f"playbook text has {len(text)} characters; the limit is {MAX_PROPOSAL_CHARS}"
-        )
-    try:
-        return yamlio.load(text)
-    except Exception as exc:
-        raise PlaybookParseError(f"malformed YAML: {exc}") from exc
-
-
 _PLAY_FIELDS = ("name", "hosts")
 _TASK_FIELDS = ("name", "register", "when")
 # The containers the safe loaders build; they build no subclasses of these.
@@ -122,11 +105,7 @@ def _action_error(task: Mapping) -> str | None:
 
 def parse_playbook(text: str) -> Playbook:
     """Parse playbook text, raising PlaybookParseError on violations."""
-    raw = _load(text)
-    try:
-        pb, error, _ = _walk(raw)
-    except RecursionError as exc:
-        raise PlaybookParseError("document nested too deeply") from exc
+    pb, error, _ = _read(text)
     if error is not None:
         raise PlaybookParseError(error)
     return pb
@@ -179,7 +158,7 @@ def check_structure(text: str) -> StructReport:
     Seven named checks; r_struct is the passed fraction. Unparsable input
     fails everything.
     """
-    return _read(text)[1]
+    return _read(text)[2]
 
 
 def _walk(raw: object) -> tuple[Playbook | None, str | None, StructReport]:
@@ -288,26 +267,34 @@ def read_proposal(text: str) -> tuple[Playbook | None, StructReport]:
     structure is graded on the raw text. Each text is loaded once. Never
     raises: text that cannot be read is a parse failure.
     """
-    plays, struct = _read(text)
+    plays, _, struct = _read(text)
     if plays is None and (fenced := extract_playbook_text(text)) is not None:
-        fenced_plays, fenced_struct = _read(fenced)
+        fenced_plays, _, fenced_struct = _read(fenced)
         if fenced_plays is not None:
             plays, struct = fenced_plays, fenced_struct
     return plays, struct
 
 
-def _read(text: str) -> tuple[Playbook | None, StructReport]:
-    """(the text's playbook or None when it does not parse, its structure report)."""
+def _read(text: str) -> tuple[Playbook | None, str | None, StructReport]:
+    """Load and walk one text: ``_walk``'s triple, or (None, why, EMPTY_STRUCT)
+    when the text cannot be loaded. Never raises.
+
+    Text longer than MAX_PROPOSAL_CHARS is not loaded. Any loader exception
+    is a parse failure: malformed YAML, but also e.g. ``ValueError`` for an
+    impossible date or ``RecursionError`` for deep nesting.
+    """
+    if len(text) > MAX_PROPOSAL_CHARS:
+        error = f"playbook text has {len(text)} characters; the limit is {MAX_PROPOSAL_CHARS}"
+        return None, error, EMPTY_STRUCT
     try:
-        raw = _load(text)
-    except PlaybookParseError:
-        return None, EMPTY_STRUCT
+        raw = yamlio.load(text)
+    except Exception as exc:
+        return None, f"malformed YAML: {exc}", EMPTY_STRUCT
     try:
-        plays, _, struct = _walk(raw)
+        return _walk(raw)
     except RecursionError:
         # libyaml loads nesting deeper than str() of a field can walk.
-        return None, EMPTY_STRUCT
-    return plays, struct
+        return None, "document nested too deeply", EMPTY_STRUCT
 
 
 def _when_resolvable(expr: str, known_registers: set[str]) -> bool:
@@ -686,8 +673,8 @@ def _perform(
     if isinstance(action, ReadMax):
         if action.service is None:
             pods = state.pods
-        elif action.strict and action.service not in state.topology.services:
-            raise NotFoundError(f"unknown service {action.service!r}")
+        elif action.strict:
+            pods = state.service_pods(state.service_spec(action.service).name)
         else:
             pods = state.service_pods(action.service)
         return False, (f"{max(getattr(p, action.metric) for p in pods):.2f}" if pods else "0.00")

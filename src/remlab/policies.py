@@ -39,7 +39,6 @@ from .faults import (
     FailureType,
     NETWORK_TYPES,
     ROW_OF,
-    report_faults,
 )
 from .topology import Topology
 
@@ -216,12 +215,12 @@ class TemplateLibrary:
             "tasks": tasks,
         }
 
-    def render(self, action_id: int, faults: list[tuple[FailureType, str]]) -> str:
+    def render(self, action_id: int, faults: Sequence[tuple[FailureType, str]]) -> str:
         """Render one template against (the first of) the reported faults."""
         ftype, target = faults[0]
         return yamlio.dump([self.play_doc(action_id, ftype, target)])
 
-    def render_expert(self, faults: list[tuple[FailureType, str]]) -> str:
+    def render_expert(self, faults: Sequence[tuple[FailureType, str]]) -> str:
         """Render the matching template for every reported fault (one play each)."""
         docs = [
             self.play_doc(self.expert_action(ftype), ftype, target)
@@ -264,8 +263,7 @@ def classify_context(inp: PolicyInput, topology: Topology) -> int:
     degraded, and whether a probed direct dependency looks degraded.
     Flags default to False when the relevant probe is missing.
     """
-    faults = report_faults(inp.report)
-    ftype, target = faults[0]
+    ftype, target = inp.report.faults[0]
     named = target_services(target)
     svc = named[0]
     deps = set(topology.service(svc).dependencies)
@@ -306,7 +304,7 @@ def _pods_degraded(payload: dict, topology: Topology) -> bool:
 def context_probes(report: FailureReport, topology: Topology) -> tuple[ProbeQuery, ...]:
     """The probes a context class is read from: the first reported target's
     metrics, plus the pods of its service's first dependency, if any."""
-    target = report.target_service.split(",")[0]
+    target = report.faults[0][1]
     queries = [_metrics_probe_for(target)]
     deps = topology.service(target_services(target)[0]).dependencies
     if deps:
@@ -355,7 +353,7 @@ class ExpertPolicy(Policy):
         self.library = library
 
     def decide(self, inp: PolicyInput) -> PolicyOutput:
-        faults = report_faults(inp.report)
+        faults = inp.report.faults
         if not _has_probed(inp):
             return ProbeRequest(queries=(_metrics_probe_for(faults[0][1]),))
         playbook_text = self.library.render_expert(faults)
@@ -469,11 +467,10 @@ class ToyPolicy(Policy):
         if not _has_probed(inp):
             return ProbeRequest(queries=context_probes(inp.report, self.topology))
 
-        faults = report_faults(inp.report)
         f = classify_context(inp, self.topology)
         a = self.choose(f, inp.attempt_index())
         self.last_decisions.append((f, a))
-        playbook_text = self.library.render(a, faults)
+        playbook_text = self.library.render(a, inp.report.faults)
         template = self.library.templates[a]
         reasoning = f"context class {f}: trying template '{template.name}'"
         return RemedyProposal(

@@ -82,19 +82,16 @@ class Topology:
         return b in sa.dependencies or a in sb.dependencies
 
 
-def parse_topology(doc: str | Mapping) -> Topology:
-    """Parse and validate a topology document (YAML text or mapping).
+def parse_topology(text: str) -> Topology:
+    """Parse and validate a topology document given as YAML text.
 
     Any failure to load the text is a TopologyError. Topology files are the
     operator's own input, so unlike playbook text they are not length-capped.
     """
-    if isinstance(doc, str):
-        try:
-            raw = yamlio.load(doc)
-        except Exception as exc:
-            raise TopologyError(f"malformed topology YAML: {exc}") from exc
-    else:
-        raw = doc
+    try:
+        raw = yamlio.load(text)
+    except Exception as exc:
+        raise TopologyError(f"malformed topology YAML: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise TopologyError("topology document must be a mapping")
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import cluster, faults
+from . import cluster, loop
 from .errors import DivergenceError, EmptyDatasetError, InvalidArgumentError
 from .faults import AuxContext, FailureReport, Scenario, build_aux, state_seed_for
 from .grading import grade
@@ -262,7 +262,7 @@ def rollout(
 
 
 def _simulate(env: TrainEnv, policy, scenario: Scenario, state_seed: int):
-    state, records, report = faults.prepare_episode(
+    state, records, report = loop.prepare_episode(
         env.topology, scenario, state_seed, env.loop_config, env.aux
     )
     episode = run_episode(
@@ -300,7 +300,7 @@ def harvest_expert(env: TrainEnv, teacher, n: int, seed: int = 0) -> list[SftExa
     examples: list[SftExample] = []
     for i in range(n):
         scenario = env.scenarios[i % len(env.scenarios)]
-        state, records, report = faults.prepare_episode(
+        state, records, report = loop.prepare_episode(
             env.topology,
             scenario,
             state_seed_for(seed, scenario.scenario_id),

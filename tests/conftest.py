@@ -56,16 +56,13 @@ def one_service_state():
     from remlab.topology import parse_topology
 
     topo = parse_topology(
-        {
-            "name": "demo",
-            "services": [
-                {
-                    "name": "my-service",
-                    "replicas": 2,
-                    "config": {"mode": "fast"},
-                    "baseline": {"cpu_pct": 25.0, "mem_pct": 40.0, "io_await_ms": 5.0},
-                }
-            ],
-        }
+        """
+name: demo
+services:
+  - name: my-service
+    replicas: 2
+    config: {mode: fast}
+    baseline: {cpu_pct: 25.0, mem_pct: 40.0, io_await_ms: 5.0}
+"""
     )
     return cluster.load_topology(topo, seed=3)

@@ -1,7 +1,9 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from remlab import bench, cluster, faults
 from remlab.bench import (
@@ -18,9 +20,9 @@ from remlab.bench import (
     run_suite,
 )
 from remlab.errors import RunError
-from remlab.loop import Episode, LoopConfig
+from remlab.loop import VERIFICATION_MODES, Episode, LoopConfig
 from remlab.cli import main
-from remlab.policies import ExpertPolicy, NoopPolicy, ProbeRequest
+from remlab.policies import ExpertPolicy, NoopPolicy, ProbeRequest, RemedyProposal, ReplayPolicy
 
 
 def _episode(success, latency=1000, tokens=(10, 10), wall=None):
@@ -237,10 +239,10 @@ def test_parallel_jobs_identical_log(simple_micro, library):
     assert episodes_to_jsonl(serial.episodes) == episodes_to_jsonl(parallel.episodes)
 
 
-def test_replay_verifies_run(expert_run, simple_micro):
+def test_replay_verifies_run(expert_run):
     result, _, root = expert_run
     run_dir = os.path.join(root, result.manifest.manifest_hash)
-    outcome = replay_run(run_dir, topology=simple_micro)
+    outcome = replay_run(run_dir)
     assert outcome["aggregates_match"] is True
     assert outcome["replayed"] == 23
     assert outcome["digest_matches"] == 23
@@ -292,6 +294,76 @@ def test_replay_reproduces_no_proposal_attempts(
     assert (outcome["replayed"], outcome["digest_matches"]) == (5, 5)
     assert main(["replay", "--run-dir", run_dir]) == 0
     assert json.loads(capsys.readouterr().out)["digest_matches"] == 5
+
+
+# Texts that do not parse into the playbook subset: unclosed flow sequence, a
+# task with no action, tab indentation, a list of scalars.
+_MALFORMED = (
+    "- name: fix orders\n  hosts: [orders\n  tasks:\n    - shell: echo\n",
+    "- name: fix orders\n  hosts: orders\n  tasks:\n    - name: restart\n      run: echo\n",
+    "- name: fix orders\n\thosts: orders\n",
+    "[1, 2]",
+)
+_PROBES = (
+    (),
+    (cluster.pod_metrics_query("orders"),),
+    (cluster.topology_summary_query(), cluster.link_stats_query("frontend", "gateway")),
+    (cluster.pod_metrics_query("ghost"), cluster.config_get_query("orders", "nope")),
+)
+# A proposal, or a run of probe requests, to be rendered against a scenario's faults.
+_OUTPUTS = st.one_of(
+    st.sampled_from(["expert", "distractor", "fenced"]),
+    st.tuples(st.just("text"), st.sampled_from(_MALFORMED) | st.text(max_size=40)),
+    st.tuples(st.just("probe"), st.sampled_from(_PROBES), st.integers(1, 6)),
+)
+
+
+def _render(kind, library, scenario):
+    pairs = [(f.ftype, f.target) for f in scenario.faults]
+    if kind[0] == "probe":
+        return [ProbeRequest(queries=kind[1])] * kind[2]
+    if kind == "expert":
+        text = library.render_expert(pairs)
+    elif kind == "distractor":
+        text = library.render(7, pairs)
+    elif kind == "fenced":
+        text = f"Here is the fix:\n```yaml\n{library.render_expert(pairs)}```\n"
+    else:
+        text = kind[1]
+    return [RemedyProposal(text, "", len(text), 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    transcripts=st.lists(st.lists(_OUTPUTS, max_size=6), min_size=1, max_size=3),
+    t_max=st.integers(0, 2),
+    mode=st.sampled_from(VERIFICATION_MODES),
+    probe_budget=st.integers(0, 3),
+)
+def test_replay_reproduces_random_transcripts(
+    simple_micro, library, transcripts, t_max, mode, probe_budget
+):
+    """No transcript aborts the suite or exceeds the retry budget, and replaying
+    the saved run reproduces the aggregates and every episode that did not end
+    in an error."""
+    loop = LoopConfig(t_max=t_max, probe_budget=probe_budget, verification_mode=mode)
+    manifest = RunManifest(
+        topology="simple-micro", difficulty="hard", seed=1, policy_id="replay", loop=loop
+    )
+    scenarios = faults.gen_suite(simple_micro, "hard", seed=1)[: len(transcripts)]
+    with tempfile.TemporaryDirectory() as root:
+        result = run_suite(
+            lambda i, s: ReplayPolicy([o for k in transcripts[i] for o in _render(k, library, s)]),
+            simple_micro,
+            scenarios,
+            manifest,
+            out_dir=root,
+        )
+        assert all(len(e.attempts) <= t_max + 1 for e in result.episodes)
+        outcome = replay_run(bench.run_dir_for(manifest, root))
+    assert outcome["aggregates_match"] is True
+    completed = sum(1 for e in result.episodes if e.error_tag is None)
+    assert outcome["replayed"] == outcome["digest_matches"] == completed
 
 
 class _Raises(ExpertPolicy):

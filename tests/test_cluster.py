@@ -28,24 +28,22 @@ from remlab.topology import parse_topology
 
 def _mini():
     return parse_topology(
-        {
-            "name": "mini",
-            "services": [
-                {
-                    "name": "a",
-                    "replicas": 1,
-                    "config": {"k": "v"},
-                    "baseline": {"cpu_pct": 25.0, "mem_pct": 40.0, "io_await_ms": 5.0},
-                },
-                {"name": "b", "replicas": 2, "dependencies": []},
-            ],
-            "links": [{"src": "a", "dst": "b", "base_latency_ms": 2.0}],
-        }
+        """
+name: mini
+services:
+  - name: a
+    replicas: 1
+    config: {k: v}
+    baseline: {cpu_pct: 25.0, mem_pct: 40.0, io_await_ms: 5.0}
+  - {name: b, replicas: 2, dependencies: []}
+links:
+  - {src: a, dst: b, base_latency_ms: 2.0}
+"""
     )
 
 
 def test_load_minimal_topology():
-    topology = parse_topology({"name": "t", "services": [{"name": "a", "replicas": 1}]})
+    topology = parse_topology("name: t\nservices: [{name: a, replicas: 1}]\n")
     state = load_topology(topology, seed=0)
     assert len(state.pods) == 1
     assert state.pods[0].phase == PodPhase.RUNNING
@@ -213,7 +211,7 @@ def test_clear_link_shaping_snaps_metrics(state):
     cluster.add_perturbation(state, PerturbationKind.NET_LOSS, "frontend->gateway", 40.0)
     for _ in range(20):
         step(state, 1000)
-    link = state.find_link("frontend", "gateway")
+    link = state.link("frontend", "gateway")
     assert link.loss_pct > 30.0
     cluster.apply(state, ClearLinkShaping("frontend", "gateway"))
     assert link.loss_pct == 0.0
@@ -345,6 +343,6 @@ def test_metrics_stay_bounded(codes, kinds, steps):
     for pert in s.perturbations:
         if pert.kind in cluster.LINK_KINDS:
             src, dst = cluster.split_link_key(pert.target)
-            assert s.find_link(src, dst) is not None
+            assert s.link(src, dst) is not None
         else:
             assert pert.target in s.topology.services

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from remlab import cluster, faults, loop, playbook
+from remlab import cluster, faults, loop, playbook, yamlio
 from remlab.cluster import (
     ClearLinkShaping,
     KillProcess,
@@ -31,7 +31,6 @@ from remlab.faults import (
     inject,
     make_report,
     oracle_verify,
-    report_faults,
     restore,
     suite_from_jsonl,
     suite_to_jsonl,
@@ -131,8 +130,7 @@ def test_report_hygiene_no_handles_or_originals(state, simple_micro):
     blob = json.dumps(
         [
             {
-                "target": r.target_service,
-                "type": r.failure_type,
+                "faults": [[ftype.value, target] for ftype, target in r.faults],
                 "description": r.description,
                 "aux": {
                     "environment_summary": r.aux_context.environment_summary,
@@ -155,12 +153,11 @@ def test_composite_report_joins_fields(state, simple_micro):
     r1 = make_report(inject(state, FailureSpec(FailureType.CPU_SATURATION, "orders")), aux)
     r2 = make_report(inject(state, FailureSpec(FailureType.POD_FAILURE, "frontend")), aux)
     combined = composite_report([r1, r2])
-    assert combined.target_service == "orders,frontend"
-    pairs = report_faults(combined)
-    assert pairs == [
+    assert [target for _, target in combined.faults] == ["orders", "frontend"]
+    assert combined.faults == (
         (FailureType.CPU_SATURATION, "orders"),
         (FailureType.POD_FAILURE, "frontend"),
-    ]
+    )
 
 
 # --- oracle and restore ------------------------------------------------------------
@@ -319,8 +316,8 @@ def _ref_oracle_verify(state, record):
         return False
 
     if spec.ftype in faults.NETWORK_TYPES:
-        link = state.find_link(*cluster.split_link_key(spec.target))
-        return link is not None and cluster.in_band(getattr(link, cluster.METRIC_OF[kind].name), 0.0)
+        link = state.link(*cluster.split_link_key(spec.target))
+        return cluster.in_band(getattr(link, cluster.METRIC_OF[kind].name), 0.0)
 
     if not _ref_pods_running(state, spec.target):
         return False
@@ -338,9 +335,7 @@ def _ref_pods_running(state, service):
 
 def _ref_target_nominal(state, target):
     if "->" in target:
-        link = state.find_link(*cluster.split_link_key(target))
-        if link is None:
-            raise NotFoundError(f"unknown link {target!r}")
+        link = state.link(*cluster.split_link_key(target))
         return cluster.in_band(link.added_delay_ms, 0.0) and cluster.in_band(link.loss_pct, 0.0)
     if target not in state.topology.services:
         raise NotFoundError(f"unknown service {target!r}")
@@ -359,7 +354,7 @@ def _ref_target_nominal(state, target):
 
 
 def _ref_classify_context(inp, topology):
-    ftype, target = report_faults(inp.report)[0]
+    ftype, target = inp.report.faults[0]
     named = cluster.target_services(target)
     deps = set(topology.service(named[0]).dependencies)
     target_degraded = False
@@ -437,7 +432,7 @@ def _assert_recovery_verdicts_agree(state, records, report):
     topology = state.topology
     for record in records:
         assert oracle_verify(state, record) == _ref_oracle_verify(state, record), record.spec
-    targets = report.target_service.split(",")
+    targets = [target for _, target in report.faults]
     assert loop.observable_verify(state, report) == all(_ref_target_nominal(state, t) for t in targets)
     assert loop._degraded_targets(state, report) == [
         t for t in targets if not _ref_target_nominal(state, t)
@@ -586,9 +581,7 @@ def test_suite_scenarios_have_distinct_targets_per_scenario(simple_micro):
 def test_suite_too_small_topology():
     from remlab.topology import parse_topology
 
-    topo = parse_topology(
-        {"name": "tiny", "services": [{"name": "a", "config": {"k": "v"}}]}
-    )
+    topo = parse_topology("name: tiny\nservices: [{name: a, config: {k: v}}]\n")
     with pytest.raises(SuiteGenerationError):
         gen_suite(topo, "medium", seed=1)
     with pytest.raises(SuiteGenerationError):
@@ -599,7 +592,8 @@ def test_suite_too_small_topology():
 
 
 def _small_topology(name, services, links=({"src": "a", "dst": "b"},)):
-    return parse_topology({"name": name, "services": list(services), "links": list(links)})
+    doc = {"name": name, "services": list(services), "links": list(links)}
+    return parse_topology(yamlio.dump(doc))
 
 
 # a -> b -> c, where only b declares config and the one link a->b touches b.

@@ -189,7 +189,9 @@ def test_verification_and_reflection_use_the_loops_own_report(simple_micro):
 
     class Misdirecting(NoopPolicy):
         def decide(self, inp):
-            inp.report = dataclasses.replace(inp.report, target_service="datastore")
+            inp.report = dataclasses.replace(
+                inp.report, faults=((FailureType.CPU_SATURATION, "datastore"),)
+            )
             return super().decide(inp)
 
     state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
@@ -203,7 +205,7 @@ def test_verification_and_reflection_use_the_loops_own_report(simple_micro):
 
 def test_reflection_names_the_loops_own_report(simple_micro):
     state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
-    misdirected = dataclasses.replace(report, target_service="datastore")
+    misdirected = dataclasses.replace(report, faults=((FailureType.CPU_SATURATION, "datastore"),))
     inp = PolicyInput(report=misdirected, context=report.aux_context)
     reflect(inp, _failed_attempt(), state, report)
     assert "still degraded after verification: orders" in [i.text for i in inp.history]
@@ -320,7 +322,7 @@ def test_observable_unknown_target(simple_micro):
     state = cluster.load_topology(simple_micro, seed=1)
     aux = build_aux(simple_micro)
     for target in ("ghost", "frontend->datastore"):
-        report = faults.FailureReport(target, "cpu_saturation", "x", aux)
+        report = faults.FailureReport(((FailureType.CPU_SATURATION, target),), "x", aux)
         with pytest.raises(NotFoundError):
             observable_verify(state, report)
 
@@ -383,6 +385,40 @@ def test_reflect_grows_history_monotonically(simple_micro):
     assert n0 < n1 < n2
     # report text itself never changes
     assert inp.report is report
+
+
+class _FirstAttempt(Policy):
+    """Outputs ``first`` throughout attempt 0; at attempt 1 records the history
+    it sees and proposes an empty playbook."""
+
+    def __init__(self, first):
+        self.first = first
+        self.seen = None
+
+    def decide(self, inp):
+        if inp.attempt_index() == 0:
+            return self.first
+        self.seen = [(i.kind, i.text) for i in inp.history]
+        return RemedyProposal("", "", 0, 0)
+
+
+@pytest.mark.parametrize(
+    "first, told",
+    [
+        # The first two load as YAML but break the parse rule.
+        (RemedyProposal("- name: p\n  hosts: orders\n  tasks:\n    - {name: t, run: x}\n", "", 0, 0), True),
+        (RemedyProposal("- name: p\n  hosts: orders\n  tasks: oops\n", "", 0, 0), True),
+        (RemedyProposal("", "", 0, 0), True),
+        (RemedyProposal("[]", "", 0, 0), False),  # parses, to zero plays
+        (ProbeRequest(queries=()), False),
+    ],
+    ids=["task-without-action", "tasks-not-a-list", "empty-text", "zero-plays", "no-proposal"],
+)
+def test_reflection_says_did_not_parse_exactly_when_a_proposal_did_not(simple_micro, first, told):
+    state, records, report = _setup(simple_micro, FailureSpec(FailureType.CPU_SATURATION, "orders"))
+    policy = _FirstAttempt(first)
+    run_episode(policy, state, records, LoopConfig(t_max=1), report)
+    assert (("reflection_parse", "previous playbook did not parse") in policy.seen) is told
 
 
 def test_no_reflection_keeps_history_clean(simple_micro, library):

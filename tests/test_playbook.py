@@ -1320,7 +1320,7 @@ def _hard_suite(name):
 def _faulted(name, scenario, seed):
     """A faulted state of the scenario and the scope the loop would screen it with."""
     topology, suite, aux = _hard_suite(name)
-    state, _, report = faults.prepare_episode(topology, suite[scenario], seed, LoopConfig(), aux)
+    state, _, report = loop.prepare_episode(topology, suite[scenario], seed, LoopConfig(), aux)
     return state, loop._neighborhood_scope(state, report)
 
 
@@ -1455,7 +1455,7 @@ def test_each_task_is_matched_once_per_attempt(monkeypatch, simple_micro):
     monkeypatch.setattr(playbook, "match_command", counted)
     aux = build_aux(simple_micro)
     scenario = faults.gen_suite(simple_micro, "hard", 0)[0]
-    state, records, report = faults.prepare_episode(simple_micro, scenario, 1, LoopConfig(), aux)
+    state, records, report = loop.prepare_episode(simple_micro, scenario, 1, LoopConfig(), aux)
     policy = ExpertPolicy(build_default_library(simple_micro))
     episode = run_episode(policy, state, records, LoopConfig(t_max=0), report)
     (attempt,) = episode.attempts

@@ -200,11 +200,9 @@ def test_link_template_on_an_unlinked_service_shapes_the_first_link():
     """A link template aimed at a service that no link touches clears the
     topology's first link."""
     topology = parse_topology(
-        {
-            "name": "t",
-            "services": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
-            "links": [{"src": "a", "dst": "b"}, {"src": "b", "dst": "a"}],
-        }
+        "name: t\n"
+        "services: [{name: a}, {name: b}, {name: c}]\n"
+        "links: [{src: a, dst: b}, {src: b, dst: a}]\n"
     )
     doc = build_default_library(topology).play_doc(4, FailureType.CPU_SATURATION, "c")
     assert doc["hosts"] == "a"

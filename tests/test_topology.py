@@ -1,5 +1,6 @@
 import pytest
 
+from remlab import yamlio
 from remlab.errors import TopologyError
 from remlab.topology import (
     BUNDLED_TOPOLOGIES,
@@ -10,68 +11,53 @@ from remlab.topology import (
 
 
 def test_minimal_topology():
-    topo = parse_topology({"name": "t", "services": [{"name": "a", "replicas": 1}]})
+    topo = parse_topology("name: t\nservices: [{name: a, replicas: 1}]\n")
     assert list(topo.services) == ["a"]
     assert topo.service("a").desired_replicas == 1
 
 
 def test_duplicate_service_rejected():
     with pytest.raises(TopologyError, match="duplicate service"):
-        parse_topology(
-            {"name": "t", "services": [{"name": "a"}, {"name": "a"}]}
-        )
+        parse_topology("name: t\nservices: [{name: a}, {name: a}]\n")
 
 
 def test_undeclared_dependency_rejected():
     with pytest.raises(TopologyError, match="undeclared"):
-        parse_topology(
-            {"name": "t", "services": [{"name": "a", "dependencies": ["ghost"]}]}
-        )
+        parse_topology("name: t\nservices: [{name: a, dependencies: [ghost]}]\n")
 
 
 def test_dependency_cycle_rejected():
     with pytest.raises(TopologyError, match="cycle"):
         parse_topology(
-            {
-                "name": "t",
-                "services": [
-                    {"name": "a", "dependencies": ["b"]},
-                    {"name": "b", "dependencies": ["a"]},
-                ],
-            }
+            "name: t\n"
+            "services:\n"
+            "  - {name: a, dependencies: [b]}\n"
+            "  - {name: b, dependencies: [a]}\n"
         )
 
 
 def test_replicas_below_one_rejected():
     with pytest.raises(TopologyError, match="replicas"):
-        parse_topology({"name": "t", "services": [{"name": "a", "replicas": 0}]})
+        parse_topology("name: t\nservices: [{name: a, replicas: 0}]\n")
 
 
 def test_self_dependency_rejected():
     with pytest.raises(TopologyError):
-        parse_topology({"name": "t", "services": [{"name": "a", "dependencies": ["a"]}]})
+        parse_topology("name: t\nservices: [{name: a, dependencies: [a]}]\n")
 
 
 def test_duplicate_link_rejected():
     with pytest.raises(TopologyError, match="duplicate link"):
         parse_topology(
-            {
-                "name": "t",
-                "services": [{"name": "a"}, {"name": "b"}],
-                "links": [{"src": "a", "dst": "b"}, {"src": "a", "dst": "b"}],
-            }
+            "name: t\n"
+            "services: [{name: a}, {name: b}]\n"
+            "links: [{src: a, dst: b}, {src: a, dst: b}]\n"
         )
 
 
 def test_link_must_connect_distinct_services():
     with pytest.raises(TopologyError, match="distinct"):
-        parse_topology(
-            {
-                "name": "t",
-                "services": [{"name": "a"}],
-                "links": [{"src": "a", "dst": "a"}],
-            }
-        )
+        parse_topology("name: t\nservices: [{name: a}]\nlinks: [{src: a, dst: a}]\n")
 
 
 @pytest.mark.parametrize("name,expected_services", [
@@ -150,7 +136,7 @@ def _doc(service=None, link=None, **top):
 )
 def test_invalid_document_is_a_topology_error(doc, message):
     with pytest.raises(TopologyError, match=message):
-        parse_topology(doc)
+        parse_topology(yamlio.dump(doc))
 
 
 def test_unknown_bundled_name_lists_the_bundled_ones():

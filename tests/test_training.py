@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remlab import bench, cluster, faults, training
+from remlab import bench, cluster, faults, loop, training
 from remlab.errors import DivergenceError, EmptyDatasetError, InvalidArgumentError
 from remlab.loop import LoopConfig
 from remlab.policies import CONTEXT_CLASSES, ExpertPolicy, N_CONTEXT_CLASSES, NoopPolicy, ToyPolicy
@@ -328,15 +328,15 @@ def test_harvest_builds_each_episode_prefix_once(env, library, monkeypatch):
         state_seed = training.state_seed_for(5, scenario.scenario_id)
         episode, _ = training.rollout(env, ExpertPolicy(library), scenario, state_seed)
         assert episode.success
-        state, _, report = faults.prepare_episode(
+        state, _, report = loop.prepare_episode(
             env.topology, scenario, state_seed, env.loop_config, env.aux
         )
         action = library.expert_action(scenario.faults[0].ftype)
         reference.append((training._context_class(env, state, report), action))
 
     calls = []
-    prepare = faults.prepare_episode
-    monkeypatch.setattr(faults, "prepare_episode", lambda *a: calls.append(a) or prepare(*a))
+    prepare = loop.prepare_episode
+    monkeypatch.setattr(loop, "prepare_episode", lambda *a: calls.append(a) or prepare(*a))
     data = harvest_expert(env, ExpertPolicy(library), n=n, seed=5)
     assert len(calls) == len(data) == n
     assert [(e.context_class, e.action) for e in data] == reference
@@ -425,7 +425,7 @@ def test_rollout_and_benchmark_episode_agree(env, library, simple_micro):
         episode, _ = training.rollout(
             env, ExpertPolicy(library), scenario, training.state_seed_for(3, scenario.scenario_id)
         )
-        reference = run_scenario(scenario, simple_micro, manifest, ExpertPolicy(library))
+        reference = run_scenario(scenario, simple_micro, manifest, ExpertPolicy(library), env.aux)
         assert (episode.final_digest, episode.report_description) == (
             reference.final_digest, reference.report_description
         )
@@ -547,7 +547,7 @@ def test_memo_simulates_each_distinct_rollout_once(env, sft_data, monkeypatch):
         TrainConfig(stage="sft", learning_rate=2.0, iterations=200, seed=5), env, sft_data=sft_data
     )
     calls = _counting(monkeypatch, training, "rollout")
-    sims = _counting(monkeypatch, faults, "prepare_episode")
+    sims = _counting(monkeypatch, loop, "prepare_episode")
     grpo, _ = train_stage(
         TrainConfig(stage="sim_rft", learning_rate=0.5, iterations=150, group_size=8, seed=5),
         env,
@@ -565,7 +565,7 @@ class _SubToy(ToyPolicy):
 
 
 def test_memo_serves_only_plain_toy_policies(env, library, simple_micro, monkeypatch):
-    sims = _counting(monkeypatch, faults, "prepare_episode")
+    sims = _counting(monkeypatch, loop, "prepare_episode")
     scenario = env.scenarios[0]
     theta = ToyPolicy.uniform(library, simple_micro).theta
     memo: dict = {}
@@ -633,7 +633,7 @@ def test_memoised_rollouts_equal_fresh_ones(
     ]
     if bad is not None:
         index, value = bad
-        state, _, report = faults.prepare_episode(
+        state, _, report = loop.prepare_episode(
             env.topology, scenarios[index], 0, env.loop_config, env.aux
         )
         thetas[0][training._context_class(env, state, report)] = value
