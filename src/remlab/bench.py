@@ -321,45 +321,39 @@ def save_run(result: BenchResult, scenarios: Sequence[Scenario], root: str) -> s
     try:
         os.makedirs(run_dir, exist_ok=True)
         _write(run_dir, "manifest.json", result.manifest.canonical_json() + "\n")
-        _write(
-            run_dir,
-            "suite.jsonl",
-            faults.suite_to_jsonl(scenarios, result.manifest.topology),
-        )
+        _write(run_dir, "suite.jsonl", faults.suite_to_jsonl(scenarios, result.manifest.topology))
         _write(run_dir, "episodes.jsonl", episodes_to_jsonl(result.episodes))
-        _write(
-            run_dir,
-            "result.json",
-            json.dumps(result.aggregates, sort_keys=True) + "\n",
-        )
+        _write(run_dir, "result.json", json.dumps(result.aggregates, sort_keys=True) + "\n")
         emit_report(result, run_dir)
     except OSError as exc:
         raise RunError(f"failed to persist run to {run_dir!r}: {exc}") from exc
     return run_dir
 
 
-def _write(run_dir: str, name: str, content: str) -> None:
-    with open(os.path.join(run_dir, name), "w", encoding="utf-8") as fh:
+def _write(run_dir: str, name: str, content: str) -> str:
+    path = os.path.join(run_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(content)
+    return path
+
+
+def _read(run_dir: str, name: str) -> str:
+    with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_run(run_dir: str) -> tuple[dict, list[Scenario], list[Episode], dict]:
-    with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
-        manifest_doc = json.load(fh)
-    with open(os.path.join(run_dir, "suite.jsonl"), encoding="utf-8") as fh:
-        scenarios = faults.suite_from_jsonl(fh.read())
-    with open(os.path.join(run_dir, "episodes.jsonl"), encoding="utf-8") as fh:
-        episodes = episodes_from_jsonl(fh.read())
-    with open(os.path.join(run_dir, "result.json"), encoding="utf-8") as fh:
-        aggregates = json.load(fh)
-    return manifest_doc, scenarios, episodes, aggregates
+    return (
+        json.loads(_read(run_dir, "manifest.json")),
+        faults.suite_from_jsonl(_read(run_dir, "suite.jsonl")),
+        episodes_from_jsonl(_read(run_dir, "episodes.jsonl")),
+        json.loads(_read(run_dir, "result.json")),
+    )
 
 
 def emit_report(result: BenchResult, out_dir: str) -> list[str]:
     """Write result.csv, summary.txt and plot_points.csv; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
     csv_lines = [
         "scenario_id,difficulty,success,attempts,latency_ms,tokens_in,tokens_out,reward,final_digest"
     ]
@@ -380,10 +374,6 @@ def emit_report(result: BenchResult, out_dir: str) -> list[str]:
                 ]
             )
         )
-    path = os.path.join(out_dir, "result.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
-    paths.append(path)
 
     agg = result.aggregates
     summary_lines = [
@@ -397,10 +387,6 @@ def emit_report(result: BenchResult, out_dir: str) -> list[str]:
         ),
         f"oracle/observable agreement: {_fmt_opt(agg['oracle_observable_agreement'])}",
     ]
-    path = os.path.join(out_dir, "summary.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary_lines) + "\n")
-    paths.append(path)
 
     plot_lines = ["label,arl_ms,ra"]
     if agg["arl_ms"] is not None:
@@ -408,11 +394,14 @@ def emit_report(result: BenchResult, out_dir: str) -> list[str]:
             f"{result.manifest.policy_id}-{result.manifest.difficulty},"
             f"{agg['arl_ms']:.1f},{agg['ra']:.4f}"
         )
-    path = os.path.join(out_dir, "plot_points.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(plot_lines) + "\n")
-    paths.append(path)
-    return paths
+    return [
+        _write(out_dir, name, "\n".join(lines) + "\n")
+        for name, lines in (
+            ("result.csv", csv_lines),
+            ("summary.txt", summary_lines),
+            ("plot_points.csv", plot_lines),
+        )
+    ]
 
 
 def _fmt_opt(value) -> str:

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import bench, faults, training
-from .errors import RemlabError, TopologyError
+from .errors import ConfigError, RemlabError, TopologyError
 from .grading import RewardWeights, grade
 from .llm import DEFAULT_ENV_PREFIX, EndpointConfig, LlmPolicy
 from .loop import LoopConfig
@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (TopologyError, ValueError) as exc:
+    except (ConfigError, TopologyError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (RemlabError, OSError) as exc:
@@ -152,9 +152,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    topology = load_topology_doc(args.topology)
-    scenarios = faults.gen_suite(topology, args.difficulty, args.seed)
-    weights = RewardWeights.from_csv(args.weights) if args.weights else RewardWeights()
     loop = LoopConfig(
         t_max=args.t_max,
         probe_budget=args.probe_budget,
@@ -163,6 +160,9 @@ def _run(args: argparse.Namespace) -> int:
         no_probe=args.no_probe,
         no_reflection=args.no_reflection,
     )
+    weights = RewardWeights.from_csv(args.weights) if args.weights else RewardWeights()
+    topology = load_topology_doc(args.topology)
+    scenarios = faults.gen_suite(topology, args.difficulty, args.seed)
     library = build_default_library(topology)
     policy_config: dict[str, object] = {}
 
@@ -204,21 +204,23 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _train(args: argparse.Namespace) -> int:
+    default_lr = {"sft": 2.0, "sim_rft": 0.5, "real_rft": 5.0}[args.stage]
+    config = training.TrainConfig(
+        stage=args.stage,
+        learning_rate=default_lr if args.learning_rate is None else args.learning_rate,
+        iterations=args.iterations,
+        group_size=args.group_size,
+        dpo_beta=args.dpo_beta,
+        seed=args.seed,
+    )
+    if args.stage != "sft" and not args.init_checkpoint:
+        raise ConfigError(f"--stage {args.stage} requires --init-checkpoint")
     topology = load_topology_doc(args.topology)
     library = build_default_library(topology)
     scenarios = [
         s for s in faults.gen_suite(topology, "easy", args.seed) if len(s.faults) == 1
     ]
     env = training.TrainEnv(topology=topology, scenarios=scenarios, library=library)
-    default_lr = {"sft": 2.0, "sim_rft": 0.5, "real_rft": 5.0}[args.stage]
-    config = training.TrainConfig(
-        stage=args.stage,
-        learning_rate=args.learning_rate if args.learning_rate else default_lr,
-        iterations=args.iterations,
-        group_size=args.group_size,
-        dpo_beta=args.dpo_beta,
-        seed=args.seed,
-    )
     init = None
     if args.init_checkpoint:
         init = training.load_checkpoint(args.init_checkpoint, library, topology)
@@ -231,7 +233,7 @@ def _train(args: argparse.Namespace) -> int:
         )
         with open(os.path.join(args.out_dir, "sft_data.jsonl"), "w", encoding="utf-8") as fh:
             fh.write(training.sft_examples_to_jsonl(sft_data))
-    elif args.stage == "real_rft" and init is not None:
+    elif args.stage == "real_rft":
         pairs = training.mine_preference_pairs(
             env, init, n_rollouts=training.mining_rollouts(env), seed=args.seed
         )

@@ -261,7 +261,6 @@ def topology_summary_query() -> ProbeQuery:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    query: ProbeQuery
     payload: Mapping
     text: str
 
@@ -401,6 +400,10 @@ class ClusterState:
             raise NotFoundError(f"unknown config key {key!r} for service {service!r}")
         return config[key]
 
+    def config_corrupt(self, service: str) -> bool:
+        """Whether a config value of ``service`` differs from its declared one."""
+        return self._service_index[service] in self._corrupt
+
     def active(self, kind: PerturbationKind, target: str) -> list[Perturbation]:
         return [p for p in self.perturbations if p.kind == kind and p.target == target]
 
@@ -474,11 +477,6 @@ def set_config(state: ClusterState, service: str, key: str, value: str) -> str:
     return old
 
 
-def new_handle(state: ClusterState, kind: PerturbationKind, target: str) -> str:
-    state._handle_seq += 1
-    return f"{kind.value}-{target}-{state._handle_seq}"
-
-
 def add_perturbation(
     state: ClusterState, kind: PerturbationKind, target: str, magnitude: float
 ) -> Perturbation:
@@ -487,8 +485,9 @@ def add_perturbation(
     This is the injection substrate used by the fault engine; it performs
     no validation beyond handle bookkeeping.
     """
+    state._handle_seq += 1
     pert = Perturbation(
-        handle=new_handle(state, kind, target),
+        handle=f"{kind.value}-{target}-{state._handle_seq}",
         kind=kind,
         target=target,
         magnitude=magnitude,
@@ -597,7 +596,7 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
                 f"  {p.pod_id} phase={p.phase.value} cpu={p.cpu_pct:.2f}% "
                 f"mem={p.mem_pct:.2f}% io_await={p.io_await_ms:.2f}ms restarts={p.restarts}"
             )
-        return ProbeResult(query, payload, "\n".join(lines))
+        return ProbeResult(payload, "\n".join(lines))
 
     if query.kind == ProbeKind.POD_LIST:
         pods = state.service_pods(state.service_spec(query.service).name)
@@ -607,7 +606,7 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
         }
         lines = [f"pods for {query.service}:"]
         lines += [f"  {p.pod_id} {p.phase.value}" for p in pods]
-        return ProbeResult(query, payload, "\n".join(lines))
+        return ProbeResult(payload, "\n".join(lines))
 
     if query.kind == ProbeKind.CONFIG_GET:
         declared = state.declared(query.service, query.key)
@@ -621,7 +620,7 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
         text = (
             f"config {query.service}/{query.key}: current={current!r} declared={declared!r}"
         )
-        return ProbeResult(query, payload, text)
+        return ProbeResult(payload, text)
 
     if query.kind == ProbeKind.LINK_STATS:
         link = state.link(query.src, query.dst)
@@ -636,12 +635,12 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
             f"link {link.src} -> {link.dst}: base_latency={link.base_latency_ms:.2f}ms "
             f"added_delay={link.added_delay_ms:.2f}ms loss={link.loss_pct:.2f}%"
         )
-        return ProbeResult(query, payload, text)
+        return ProbeResult(payload, text)
 
     if query.kind == ProbeKind.TOPOLOGY_SUMMARY:
         text = summarize(state.topology, include_config_values=True)
         payload = {"topology": state.topology.name, "services": list(state.topology.services)}
-        return ProbeResult(query, payload, text)
+        return ProbeResult(payload, text)
 
     raise InvalidArgumentError(f"unknown probe kind {query.kind!r}")
 

@@ -17,6 +17,10 @@ class InvalidArgumentError(RemlabError):
     """An operation was called with an out-of-range or malformed argument."""
 
 
+class ConfigError(InvalidArgumentError):
+    """A LoopConfig or TrainConfig field is out of range; the CLI reports a bad flag."""
+
+
 class InjectionError(RemlabError):
     """Fault injection was rejected (duplicate, bad magnitude, bad target)."""
 

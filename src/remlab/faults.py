@@ -136,7 +136,6 @@ class FailureRecord:
     """Ground truth of one injection. Never shown to a policy."""
 
     spec: FailureSpec
-    injected_at: int
     handles: tuple[str, ...]
     original_values: dict[str, str]
     lineage: str
@@ -205,42 +204,26 @@ def inject(state: ClusterState, spec: FailureSpec) -> FailureRecord:
     if _is_active(state, spec):
         raise InjectionError(f"active injection already exists for {spec.ftype.value} on {spec.target!r}")
 
+    handles, original_values = (), {}
     if spec.ftype == FailureType.CONFIG_ERROR:
-        svc = state.topology.service(spec.target)
-        keys = sorted(svc.config)
+        keys = sorted(state.topology.service(spec.target).config)
         if not keys:
             raise InjectionError(f"service {spec.target!r} declares no config keys")
         key = keys[int(magnitude) % len(keys)]
-        original = cluster.set_config(state, spec.target, key, CORRUPT_VALUE)
-        return FailureRecord(
-            spec=spec,
-            injected_at=state.clock_ms,
-            handles=(),
-            original_values={key: original},
-            lineage=state.lineage,
-        )
-
-    pert = cluster.add_perturbation(state, spec.row.kind, spec.target, magnitude)
-    if spec.ftype == FailureType.POD_FAILURE:
-        victims = [p for p in state.service_pods(spec.target) if p.phase == PodPhase.RUNNING]
-        for pod in victims[: max(1, int(magnitude))]:
-            pod.phase = PodPhase.CRASH_LOOP
-    return FailureRecord(
-        spec=spec,
-        injected_at=state.clock_ms,
-        handles=(pert.handle,),
-        original_values={},
-        lineage=state.lineage,
-    )
+        original_values[key] = cluster.set_config(state, spec.target, key, CORRUPT_VALUE)
+    else:
+        pert = cluster.add_perturbation(state, spec.row.kind, spec.target, magnitude)
+        handles = (pert.handle,)
+        if spec.ftype == FailureType.POD_FAILURE:
+            running = [p for p in state.service_pods(spec.target) if p.phase == PodPhase.RUNNING]
+            for pod in running[: max(1, int(magnitude))]:
+                pod.phase = PodPhase.CRASH_LOOP
+    return FailureRecord(spec, handles, original_values, state.lineage)
 
 
 def _is_active(state: ClusterState, spec: FailureSpec) -> bool:
     if spec.ftype == FailureType.CONFIG_ERROR:
-        svc = state.topology.service(spec.target)
-        return any(
-            state.config_store.get((spec.target, key)) != value
-            for key, value in svc.config.items()
-        )
+        return state.config_corrupt(spec.target)
     return bool(state.active(spec.row.kind, spec.target))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import cluster, faults, playbook
 from .cluster import ClusterState, ProbeKind, ProbeQuery
-from .errors import InvalidArgumentError, NotFoundError, TransportError
+from .errors import ConfigError, NotFoundError, TransportError
 from .faults import AuxContext, FailureRecord, FailureReport, Scenario
 from .playbook import ExecutionTrace, SafetyConstraints, SafetyReport, StructReport
 from .policies import (
@@ -48,15 +48,18 @@ class LoopConfig:
     no_probe: bool = False
     no_reflection: bool = False
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.t_max < 0 or self.probe_budget < 0:
-            raise InvalidArgumentError("budgets must be >= 0")
+            raise ConfigError("budgets must be >= 0")
         if self.settle_steps < 1:
-            raise InvalidArgumentError("settle_steps must be >= 1")
+            raise ConfigError("settle_steps must be >= 1")
         if self.step_ms <= 0:
-            raise InvalidArgumentError("step_ms must be > 0")
+            raise ConfigError("step_ms must be > 0")
         if self.verification_mode not in VERIFICATION_MODES:
-            raise InvalidArgumentError(
+            raise ConfigError(
                 f"verification_mode must be one of {VERIFICATION_MODES}"
             )
 
@@ -112,6 +115,16 @@ def prepare_episode(
     cluster.settle(state, loop_config.settle_steps, loop_config.step_ms)
     report = faults.composite_report([faults.make_report(r, aux) for r in records])
     return state, records, report
+
+
+def probe(state: ClusterState, query: ProbeQuery) -> HistoryItem:
+    """Answer one probe as a history item: a ``probe_result``, or a ``probe_error``
+    when the query names something the cluster does not have."""
+    try:
+        result = cluster.observe(state, query)
+    except NotFoundError as exc:
+        return HistoryItem("probe_error", str(exc))
+    return HistoryItem("probe_result", result.text, payload=dict(result.payload))
 
 
 def observable_verify(state: ClusterState, report: FailureReport) -> bool:
@@ -181,7 +194,6 @@ def run_episode(
     scenario_id: str = "",
 ) -> Episode:
     """Run one bounded remediation episode against an already-faulted state."""
-    config.validate()
     wall_start = time.monotonic()
     clock_start = state.clock_ms
     inp = PolicyInput(report=report, context=report.aux_context, history=[])
@@ -254,24 +266,12 @@ def _run_attempt(
             proposal = output
             break
         remaining = budget - probes_used
-        if remaining <= 0:
-            if refused:
-                break  # refused twice: give up on this attempt
-            refused = True
-            inp.history.append(
-                HistoryItem("probe_refused", "probe budget exhausted; propose a playbook")
-            )
-            continue
+        if remaining == 0 and refused:
+            break  # refused twice: give up on this attempt
         for query in output.queries[:remaining]:
             probes_used += 1
-            try:
-                result = cluster.observe(state, query)
-                inp.history.append(
-                    HistoryItem("probe_result", result.text, payload=dict(result.payload))
-                )
-            except NotFoundError as exc:
-                inp.history.append(HistoryItem("probe_error", str(exc)))
-        if len(output.queries) > remaining:
+            inp.history.append(probe(state, query))
+        if remaining == 0 or len(output.queries) > remaining:
             refused = True
             inp.history.append(
                 HistoryItem("probe_refused", "probe budget exhausted; propose a playbook")

@@ -147,8 +147,10 @@ EMPTY_STRUCT = StructReport(
     checks=MappingProxyType(dict.fromkeys(STRUCT_CHECKS, False)), r_struct=0.0
 )
 
+# Groups: a register or a number on the left, the operator, the number on the right.
 _WHEN_RE = re.compile(
-    r"^\s*([A-Za-z_][\w.]*|-?\d+(?:\.\d+)?)\s*(?:\|\s*float\s*)?(>=|<=|==|>|<)\s*(-?\d+(?:\.\d+)?)\s*$"
+    r"^\s*(?:([A-Za-z_][\w.]*)|(-?\d+(?:\.\d+)?))\s*(?:\|\s*float\s*)?"
+    r"(>=|<=|==|>|<)\s*(-?\d+(?:\.\d+)?)\s*$"
 )
 
 
@@ -301,11 +303,8 @@ def _when_resolvable(expr: str, known_registers: set[str]) -> bool:
     match = _WHEN_RE.match(expr)
     if not match:
         return False
-    lhs = match.group(1)
-    if re.fullmatch(r"-?\d+(?:\.\d+)?", lhs):
-        return True
-    base = lhs.split(".", 1)[0]
-    return base in known_registers
+    register = match.group(1)
+    return register is None or register.split(".", 1)[0] in known_registers
 
 
 # --- safety check ---------------------------------------------------------------
@@ -692,11 +691,11 @@ def _eval_when(expr: str, registers: Mapping[str, str]) -> bool:
     match = _WHEN_RE.match(expr)
     if not match:
         raise _WhenUnresolvable(f"bad expression {expr!r}")
-    lhs_raw, op, rhs_raw = match.group(1), match.group(2), match.group(3)
-    if re.fullmatch(r"-?\d+(?:\.\d+)?", lhs_raw):
-        lhs = float(lhs_raw)
+    register, number, op, rhs_raw = match.groups()
+    if register is None:
+        lhs = float(number)
     else:
-        base = lhs_raw.split(".", 1)[0]
+        base = register.split(".", 1)[0]
         if base not in registers:
             raise _WhenUnresolvable(f"unknown register {base!r}")
         try:

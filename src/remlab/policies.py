@@ -329,19 +329,24 @@ def _has_probed(inp: PolicyInput) -> bool:
 # --- concrete policies ---------------------------------------------------------------
 
 
+def _scripted_proposal(inp: PolicyInput, playbook_text: str, reasoning: str) -> RemedyProposal:
+    """A scripted policy's proposal, with word counts for its synthetic token
+    counts: the rendered prompt in, the reasoning and the playbook out."""
+    return RemedyProposal(
+        playbook_text=playbook_text,
+        reasoning_text=reasoning,
+        tokens_in=word_count(render_prompt(inp)),
+        tokens_out=word_count(reasoning) + word_count(playbook_text),
+    )
+
+
 class NoopPolicy(Policy):
     """Always proposes an empty playbook. The benchmark floor."""
 
     policy_id = "noop"
 
     def decide(self, inp: PolicyInput) -> PolicyOutput:
-        reasoning = "no action taken"
-        return RemedyProposal(
-            playbook_text="",
-            reasoning_text=reasoning,
-            tokens_in=word_count(render_prompt(inp)),
-            tokens_out=word_count(reasoning),
-        )
+        return _scripted_proposal(inp, "", "no action taken")
 
 
 class ExpertPolicy(Policy):
@@ -356,13 +361,8 @@ class ExpertPolicy(Policy):
         faults = inp.report.faults
         if not _has_probed(inp):
             return ProbeRequest(queries=(_metrics_probe_for(faults[0][1]),))
-        playbook_text = self.library.render_expert(faults)
-        reasoning = self._reasoning(inp, faults)
-        return RemedyProposal(
-            playbook_text=playbook_text,
-            reasoning_text=reasoning,
-            tokens_in=word_count(render_prompt(inp)),
-            tokens_out=word_count(reasoning) + word_count(playbook_text),
+        return _scripted_proposal(
+            inp, self.library.render_expert(faults), self._reasoning(inp, faults)
         )
 
     def _reasoning(self, inp: PolicyInput, faults) -> str:
@@ -470,14 +470,11 @@ class ToyPolicy(Policy):
         f = classify_context(inp, self.topology)
         a = self.choose(f, inp.attempt_index())
         self.last_decisions.append((f, a))
-        playbook_text = self.library.render(a, inp.report.faults)
         template = self.library.templates[a]
-        reasoning = f"context class {f}: trying template '{template.name}'"
-        return RemedyProposal(
-            playbook_text=playbook_text,
-            reasoning_text=reasoning,
-            tokens_in=word_count(render_prompt(inp)),
-            tokens_out=word_count(reasoning) + word_count(playbook_text),
+        return _scripted_proposal(
+            inp,
+            self.library.render(a, inp.report.faults),
+            f"context class {f}: trying template '{template.name}'",
         )
 
 

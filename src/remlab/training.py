@@ -23,17 +23,16 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import cluster, loop
-from .errors import DivergenceError, EmptyDatasetError, InvalidArgumentError
+from .errors import ConfigError, DivergenceError, EmptyDatasetError, InvalidArgumentError
 from .faults import AuxContext, FailureReport, Scenario, build_aux, state_seed_for
 from .grading import grade
 from .loop import Episode, LoopConfig, run_episode
 from .policies import (
-    HistoryItem,
     PolicyInput,
     TemplateLibrary,
     ToyPolicy,
@@ -82,15 +81,18 @@ class TrainConfig:
     dpo_beta: float = 0.1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.stage not in STAGES:
-            raise InvalidArgumentError(f"stage must be one of {STAGES}")
+            raise ConfigError(f"stage must be one of {STAGES}")
         if self.learning_rate <= 0 or self.iterations <= 0:
-            raise InvalidArgumentError("learning rate and iterations must be positive")
+            raise ConfigError("learning rate and iterations must be positive")
         if self.group_size < 2:
-            raise InvalidArgumentError("group_size must be >= 2")
+            raise ConfigError("group_size must be >= 2")
         if self.dpo_beta <= 0:
-            raise InvalidArgumentError("dpo_beta must be > 0")
+            raise ConfigError("dpo_beta must be > 0")
 
 
 @dataclass
@@ -330,10 +332,8 @@ def harvest_expert(env: TrainEnv, teacher, n: int, seed: int = 0) -> list[SftExa
 
 def _context_class(env: TrainEnv, state: cluster.ClusterState, report: FailureReport) -> int:
     """Context class as the toy policy would see it on this freshly faulted state."""
-    inp = PolicyInput(report=report, context=env.aux, history=[])
-    for query in context_probes(report, env.topology):
-        result = cluster.observe(state, query)
-        inp.history.append(HistoryItem("probe_result", result.text, dict(result.payload)))
+    history = [loop.probe(state, query) for query in context_probes(report, env.topology)]
+    inp = PolicyInput(report=report, context=env.aux, history=history)
     return classify_context(inp, env.topology)
 
 
@@ -402,28 +402,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _descend(
-    policy: ToyPolicy,
-    loss_fn: Callable[[ToyPolicy], tuple[float, np.ndarray]],
-    config: TrainConfig,
-    curve: LearningCurve,
-    stop_below: float | None = None,
-) -> ToyPolicy:
-    for it in range(config.iterations):
-        loss, gradient = loss_fn(policy)
-        _check_finite(loss, gradient, it)
-        curve.add(it, loss)
-        if stop_below is not None and loss < stop_below:
-            break
-        policy.theta -= config.learning_rate * gradient
-    return policy
-
-
-def _check_finite(loss: float, gradient: np.ndarray, iteration: int) -> None:
-    if not np.isfinite(loss) or not np.all(np.isfinite(gradient)):
-        raise DivergenceError(f"non-finite loss at iteration {iteration}")
-
-
 def train_stage(
     config: TrainConfig,
     env: TrainEnv,
@@ -433,66 +411,74 @@ def train_stage(
 ) -> tuple[ToyPolicy, LearningCurve]:
     """Run one training stage and return (trained policy, learning curve).
 
-    ``sft`` and ``real_rft`` train on the data they are given (``sft_data``
-    from ``harvest_expert``, ``pairs`` from ``mine_preference_pairs``) and
-    raise EmptyDatasetError when it is empty.
+    Every stage trains a copy of ``init_policy`` (``sft`` of a uniform
+    policy when none is given) and leaves ``init_policy`` unchanged. ``sft``
+    and ``real_rft`` train on the data they are given (``sft_data`` from
+    ``harvest_expert``, ``pairs`` from ``mine_preference_pairs``) and raise
+    EmptyDatasetError when it is empty.
 
-    * ``sft`` starts from a uniform (or given) policy and fits ``sft_data``.
+    * ``sft`` fits ``sft_data``, stopping once the loss is below 1e-3.
     * ``sim_rft`` starts from the given checkpoint and optimizes the
       group-relative objective on freshly generated, graded rollouts; it
       raises EmptyDatasetError when no iteration formed a group.
     * ``real_rft`` starts from the given checkpoint, freezes it as the
       reference, and optimizes the preference objective on ``pairs``.
     """
-    config.validate()
-    curve = LearningCurve(stage=config.stage)
-
-    if config.stage == "sft":
-        policy = init_policy or ToyPolicy.uniform(env.library, env.topology)
-        return (
-            _descend(policy, lambda p: sft_loss(p, sft_data), config, curve, stop_below=1e-3),
-            curve,
-        )
-
-    if init_policy is None:
+    if config.stage != "sft" and init_policy is None:
         raise InvalidArgumentError(f"{config.stage} requires an initial policy checkpoint")
+    policy = (init_policy or ToyPolicy.uniform(env.library, env.topology)).clone()
+    # A step gives (loss, gradient, extra curve columns) at iteration ``it``, or None to skip it.
+    if config.stage == "sft":
+        step = lambda it: (*sft_loss(policy, sft_data), {})  # noqa: E731
+    elif config.stage == "sim_rft":
+        step = _group_step(config, env, policy)
+    else:  # real_rft
+        reference = policy.clone()  # frozen snapshot
+        step = lambda it: (*dpo_loss(policy, reference, pairs, config.dpo_beta), {})  # noqa: E731
 
-    if config.stage == "sim_rft":
-        policy = init_policy.clone()
-        rng = np.random.default_rng(config.seed)
-        memo: dict = {}
-        for it in range(config.iterations):
-            scenario = env.scenarios[int(rng.integers(len(env.scenarios)))]
-            members = []
-            for k in range(config.group_size):
-                sampler = policy.clone(sample_seed=config.seed * 1000003 + it * 64 + k)
-                episode, _ = rollout(
-                    env, sampler, scenario, state_seed_for(config.seed, scenario.scenario_id), memo
-                )
-                reward = grade(episode).total
-                if not sampler.last_decisions:
-                    continue
-                f, a = sampler.last_decisions[-1]
-                members.append(RolloutSample(context_class=f, action=a, reward=reward))
-            if len(members) < 2:
+    curve = LearningCurve(stage=config.stage)
+    for it in range(config.iterations):
+        taken = step(it)
+        if taken is None:
+            continue
+        loss, gradient, extra = taken
+        if not np.isfinite(loss) or not np.all(np.isfinite(gradient)):
+            raise DivergenceError(f"non-finite loss at iteration {it}")
+        curve.add(it, loss, **extra)
+        if config.stage == "sft" and loss < 1e-3:
+            break
+        policy.theta -= config.learning_rate * gradient
+    if not curve.points:  # only sim_rft skips iterations
+        raise EmptyDatasetError("no sim_rft iteration formed a group of 2 or more rollouts")
+    return policy, curve
+
+
+def _group_step(config: TrainConfig, env: TrainEnv, policy: ToyPolicy):
+    """``sim_rft``'s step: the group-relative loss of ``group_size`` graded rollouts
+    of one random scenario, or None when fewer than 2 of them made a decision."""
+    rng = np.random.default_rng(config.seed)
+    memo: dict = {}
+
+    def step(it: int):
+        scenario = env.scenarios[int(rng.integers(len(env.scenarios)))]
+        members = []
+        for k in range(config.group_size):
+            sampler = policy.clone(sample_seed=config.seed * 1000003 + it * 64 + k)
+            episode, _ = rollout(
+                env, sampler, scenario, state_seed_for(config.seed, scenario.scenario_id), memo
+            )
+            reward = grade(episode).total
+            if not sampler.last_decisions:
                 continue
-            group = RolloutGroup(scenario_id=scenario.scenario_id, members=tuple(members))
-            loss, gradient = grpo_loss(policy, [group])
-            _check_finite(loss, gradient, it)
-            mean_reward = sum(m.reward for m in members) / len(members)
-            curve.add(it, loss, mean_reward=mean_reward)
-            policy.theta -= config.learning_rate * gradient
-        if not curve.points:
-            raise EmptyDatasetError("no sim_rft iteration formed a group of 2 or more rollouts")
-        return policy, curve
+            f, a = sampler.last_decisions[-1]
+            members.append(RolloutSample(context_class=f, action=a, reward=reward))
+        if len(members) < 2:
+            return None
+        group = RolloutGroup(scenario_id=scenario.scenario_id, members=tuple(members))
+        mean_reward = sum(m.reward for m in members) / len(members)
+        return (*grpo_loss(policy, [group]), {"mean_reward": mean_reward})
 
-    # real_rft
-    policy = init_policy.clone()
-    reference = init_policy.clone()  # frozen snapshot
-    return (
-        _descend(policy, lambda p: dpo_loss(p, reference, pairs, config.dpo_beta), config, curve),
-        curve,
-    )
+    return step
 
 
 # --- persistence -------------------------------------------------------------------------
@@ -528,22 +514,19 @@ def load_checkpoint(path: str, library: TemplateLibrary, topology: Topology) -> 
 
 
 def sft_examples_to_jsonl(examples: Sequence[SftExample]) -> str:
-    lines = [
-        json.dumps(
-            {"context_class": e.context_class, "trace": e.trace_text, "action": e.action},
-            sort_keys=True,
-        )
+    return _jsonl(
+        {"context_class": e.context_class, "trace": e.trace_text, "action": e.action}
         for e in examples
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def pref_pairs_to_jsonl(pairs: Sequence[PrefPair]) -> str:
-    lines = [
-        json.dumps(
-            {"context_class": p.context_class, "preferred": p.preferred, "rejected": p.rejected},
-            sort_keys=True,
-        )
+    return _jsonl(
+        {"context_class": p.context_class, "preferred": p.preferred, "rejected": p.rejected}
         for p in pairs
-    ]
-    return "\n".join(lines) + "\n"
+    )
+
+
+def _jsonl(docs) -> str:
+    """One sorted-key JSON document per line; no documents give ``"\n"``."""
+    return "\n".join(json.dumps(doc, sort_keys=True) for doc in docs) + "\n"

@@ -202,6 +202,28 @@ def test_a_file_that_cannot_be_opened_is_a_run_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--t-max", "-1"],
+        ["run", "--settle-steps", "0"],
+        ["run", "--probe-budget", "-2"],
+        ["train", "--stage", "sft", "--iterations", "0"],
+        ["train", "--stage", "sft", "--learning-rate", "0"],
+        ["train", "--stage", "sim_rft", "--group-size", "1"],
+        ["train", "--stage", "sim_rft"],
+        ["train", "--stage", "real_rft"],
+    ],
+)
+def test_a_bad_flag_value_is_a_configuration_error_before_any_work(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore:'remlab.cli' found in sys.modules:RuntimeWarning")
 def test_module_runs_as_a_script(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["remlab", "topology", "check", "simple-micro"])

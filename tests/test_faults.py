@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from remlab import cluster, faults, loop, playbook, yamlio
+from remlab.bench import RunManifest, run_suite
 from remlab.cluster import (
     ClearLinkShaping,
     KillProcess,
@@ -38,8 +39,10 @@ from remlab.faults import (
 from remlab.playbook import Play, Playbook, TaskDef
 from remlab.policies import (
     CONTEXT_CLASSES,
+    ExpertPolicy,
     HistoryItem,
     PolicyInput,
+    build_default_library,
     classify_context,
     context_probes,
 )
@@ -637,6 +640,64 @@ def test_hard_suite_on_a_small_chain():
     assert (on_a.ftype, on_a.target) == (FailureType.CPU_SATURATION, "a")
     assert (on_c.ftype, on_c.target) == (FailureType.MEMORY_SATURATION, "c")
     assert [len(s.faults) for s in suite[:3]] == [2, 2, 3]
+
+
+@st.composite
+def _topology_texts(draw):
+    """A valid topology document: 2-7 services with short names, some a prefix
+    of another, that depend only on later services (so the graph is acyclic),
+    with replicas, config keys, baselines and at least one link."""
+    names = draw(st.lists(st.text("ab", min_size=1, max_size=3), min_size=2, max_size=7, unique=True))
+    services = [
+        {
+            "name": name,
+            "replicas": draw(st.integers(1, 3)),
+            "dependencies": draw(st.lists(st.sampled_from(names[i + 1 :]), max_size=2, unique=True))
+            if i + 1 < len(names)
+            else [],
+            "config": draw(st.dictionaries(st.sampled_from(["port", "mode"]), st.just("1"), max_size=2)),
+            "baseline": {
+                "cpu_pct": draw(st.floats(10, 50)),
+                "mem_pct": draw(st.floats(10, 50)),
+                "io_await_ms": draw(st.floats(1, 10)),
+            },
+        }
+        for i, name in enumerate(names)
+    ]
+    pairs = draw(st.lists(st.permutations(names).map(lambda p: tuple(p[:2])), min_size=1, max_size=4))
+    links = [
+        {"src": src, "dst": dst, "base_latency_ms": draw(st.floats(0.5, 5))}
+        for src, dst in dict.fromkeys(pairs)
+    ]
+    return yamlio.dump({"name": "random", "services": services, "links": links})
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    text=_topology_texts(),
+    difficulty=st.sampled_from(faults.DIFFICULTIES),
+    seed=st.integers(0, 2**16),
+)
+def test_random_topologies_keep_the_suite_invariants(text, difficulty, seed):
+    """Wherever gen_suite accepts a generated topology, the expert remediates
+    every scenario, and restoring every record satisfies every oracle."""
+    topo = parse_topology(text)
+    try:
+        scenarios = gen_suite(topo, difficulty, seed)
+    except SuiteGenerationError:
+        return
+    manifest = RunManifest(topology=topo.name, difficulty=difficulty, seed=seed, policy_id="expert")
+    library = build_default_library(topo)
+    assert run_suite(lambda i, s: ExpertPolicy(library), topo, scenarios, manifest).aggregates[
+        "ra"
+    ] == 1.0
+    aux = build_aux(topo)
+    for scenario in scenarios:
+        state_seed = faults.state_seed_for(seed, scenario.scenario_id)
+        state, records, _ = loop.prepare_episode(topo, scenario, state_seed, manifest.loop, aux)
+        for record in records:
+            restore(state, record)
+        assert all(oracle_verify(state, r) for r in records), scenario.scenario_id
 
 
 def test_suite_rejects_an_unknown_difficulty(simple_micro):

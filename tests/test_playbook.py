@@ -1,3 +1,4 @@
+import datetime
 import functools
 import os
 import re
@@ -387,16 +388,16 @@ def _structure_from_doc(raw):
 
 
 _REGISTERS = ["r0", "r1", "r2"]  # few names, so duplicates and later registers are common
-_SCALARS = ["p", "all", "orders", "", 7, 2.5, True, None]
+_SCALARS = ["p", "all", "orders", "", 7, 2.5, True, None, datetime.date(2020, 2, 29)]
 _NON_SCALARS = [["a", "b"], {"a": "b"}, {"a", "b"}]
 _fields = st.sampled_from(_SCALARS * 3 + _NON_SCALARS)
 _action_values = st.sampled_from(["echo hi", "kubectl rollout restart deploy orders", 5, 1.5] * 3
-                                 + [None, ["a"], {"a": "b"}])
-_registers = st.sampled_from(_REGISTERS * 4 + [7] + _NON_SCALARS)
+                                 + [None, ["a"], {"a": "b"}, True, False, datetime.date(2020, 2, 29)])
+_registers = st.sampled_from(_REGISTERS * 4 + [7, "7", None] + _NON_SCALARS)
 _whens = st.sampled_from([f"{r} > 1" for r in _REGISTERS] + ["1 > 0", "r0.stdout | float >= 2",
                                                             "not an expression", 3, ["r0 > 1"]])
 _non_mappings = st.sampled_from([1, "play", ["x"], None])
-_non_list_tasks = st.sampled_from([None, "", 0, {}, "echo", {"a": 1}, 3])
+_non_list_tasks = st.sampled_from([None, "", 0, {}, "echo", {"a": 1}, 3, False, 0.0, set(), True])
 
 
 def _rarely(draw):
@@ -464,6 +465,74 @@ def test_one_walk_matches_the_two_walks_it_replaced(doc):
         with pytest.raises(PlaybookParseError) as caught:
             parse_playbook(text)
         assert str(caught.value) == expected_error
+
+
+# The loaded values that read as "no tasks", as docs/playbook_subset.md lists them.
+_NO_TASKS = (None, False, 0, 0.0, "", {}, set())
+
+
+def _follows_the_parse_rule(doc) -> bool:
+    """The five rules of docs/playbook_subset.md, written from its text alone."""
+    def scalar(value):
+        return not isinstance(value, (list, dict, set))
+
+    if not isinstance(doc, list):  # rule 1
+        return False
+    for play in doc:
+        if not (isinstance(play, dict) and scalar(play.get("name")) and scalar(play.get("hosts"))):
+            return False  # rule 2
+        tasks = play.get("tasks")
+        if not isinstance(tasks, list):  # rule 3
+            if not any(type(tasks) is type(empty) and tasks == empty for empty in _NO_TASKS):
+                return False
+            tasks = []
+        registers = []
+        for task in tasks:  # rule 4
+            if not isinstance(task, dict) or not all(
+                scalar(task.get(key)) for key in ("name", "register", "when")
+            ):
+                return False
+            actions = [task[key] for key in ("shell", "command") if key in task]
+            if len(actions) != 1 or type(actions[0]) not in (str, int, float, bool):
+                return False
+            if task.get("register") is not None:
+                registers.append(str(task["register"]))
+        if len(set(registers)) < len(registers):  # rule 5
+            return False
+    return True
+
+
+_edge_actions = st.sampled_from(["echo hi", 5, 1.5, True, False])
+_edge_registers = st.sampled_from([7, "7", True, "True", None])
+_edge_task_values = st.sampled_from(_NO_TASKS + (-0.0, 1, "echo", {"a": 1}, {"a"}, True))
+
+
+@st.composite
+def _edge_documents(draw):
+    """Plays of tasks that follow the rule with values at its edges: booleans as
+    actions, registers equal only as text, null registers, and ``tasks`` that is
+    not a list. Rarely, a play or a task comes from the general generators."""
+    plays = []
+    for _ in range(draw(st.integers(1, 3))):
+        if _rarely(draw):
+            plays.append(draw(_play_docs()))
+            continue
+        tasks = []
+        for _ in range(draw(st.integers(0, 3))):
+            task = {draw(st.sampled_from(("shell", "command"))): draw(_edge_actions)}
+            if draw(st.booleans()):
+                task["register"] = draw(_edge_registers)
+            tasks.append(draw(_task_docs()) if _rarely(draw) else task)
+        not_a_list = draw(st.integers(0, 3)) == 0
+        tasks = draw(_edge_task_values) if not_a_list else tasks
+        plays.append({"name": "p", "hosts": draw(_fields), "tasks": tasks})
+    return plays
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_documents(), _edge_documents()))
+def test_a_document_parses_exactly_when_it_follows_the_documented_rule(doc):
+    assert (playbook._read(yamlio.dump(doc))[0] is not None) == _follows_the_parse_rule(doc)
 
 
 # Texts that PyYAML's loaders reject with something other than YAMLError.

@@ -468,6 +468,22 @@ def test_non_finite_loss_is_a_divergence(env, library, simple_micro):
         train_stage(TrainConfig(stage="sft"), env, init_policy=policy, sft_data=data)
 
 
+@pytest.mark.parametrize("stage", training.STAGES)
+def test_no_stage_mutates_its_initial_policy(env, library, simple_micro, sft_data, stage):
+    init = _random_policy(library, simple_micro, seed=17)
+    theta = init.theta.copy()
+    policy, _ = train_stage(
+        TrainConfig(stage=stage, iterations=3, seed=5),
+        env,
+        init_policy=init,
+        sft_data=sft_data,
+        pairs=[PrefPair(context_class=0, preferred=1, rejected=2)],
+    )
+    assert policy is not init
+    assert np.array_equal(init.theta, theta)
+    assert not np.array_equal(policy.theta, theta)  # the stage did train
+
+
 def test_stage_prerequisites_enforced(env):
     with pytest.raises(InvalidArgumentError):
         train_stage(TrainConfig(stage="sim_rft", seed=0), env, init_policy=None)
