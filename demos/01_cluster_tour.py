@@ -13,7 +13,7 @@ from remlab.topology import bundled_topology
 # Boot. One Running pod per declared replica, metrics at baseline, clock 0.
 topo = bundled_topology("simple-micro")
 state = cluster.load_topology(topo, seed=7)
-print(f"booted {topo.name}: {len(state.pods)} pods, {len(state.links)} links")
+print(f"booted {topo.name}: {len(state.pods)} pods, {len(topo.links)} links")
 print("digest:", cluster.digest(state))
 
 # Probes are pure reads: the digest is identical before and after.
@@ -29,7 +29,7 @@ print("\nstressing orders:")
 for step_no in range(12):
     cluster.step(state, 1000)
     if step_no % 3 == 2:
-        cpu = max(p.cpu_pct for p in state.service_pods("orders"))
+        cpu = max(state.pod_metrics[row, 0] for row in state.service_rows("orders"))
         print(f"  t={state.clock_ms/1000:4.0f}s  max cpu = {cpu:5.1f}%")
 
 # Remove the cause; the load drains gradually (first-order relaxation).
@@ -38,7 +38,7 @@ print("stress removed; relaxing back:")
 for step_no in range(30):
     cluster.step(state, 1000)
     if step_no % 10 == 9:
-        cpu = max(p.cpu_pct for p in state.service_pods("orders"))
+        cpu = max(state.pod_metrics[row, 0] for row in state.service_rows("orders"))
         print(f"  t={state.clock_ms/1000:4.0f}s  max cpu = {cpu:5.1f}%")
 
 # Determinism: the same topology, seed, and operations reproduce the digest.

@@ -55,18 +55,16 @@ services:
 
 print("\nhot cluster (cpu 85%):")
 hot = cluster.load_topology(topo, seed=3)
-for pod in hot.pods:
-    pod.cpu_pct = 85.0
+hot.pod_metrics[:, 0] = 85.0  # cpu_pct of every pod
 trace = playbook.execute(pb, hot)
 for result in trace.results:
     print(f"  {result.task_name:28s} -> {result.status.value:8s} {result.stdout}")
-print(f"  replicas now: {len(hot.service_pods('my-service'))}, r_exec = {playbook.r_exec(trace):.2f}")
+print(f"  replicas now: {len(hot.service_rows('my-service'))}, r_exec = {playbook.r_exec(trace):.2f}")
 
 print("\ncool cluster (cpu 40%):")
 cool = cluster.load_topology(topo, seed=3)
-for pod in cool.pods:
-    pod.cpu_pct = 40.0
+cool.pod_metrics[:, 0] = 40.0  # cpu_pct of every pod
 trace = playbook.execute(pb, cool)
 for result in trace.results:
     print(f"  {result.task_name:28s} -> {result.status.value}")
-print(f"  replicas still: {len(cool.service_pods('my-service'))}")
+print(f"  replicas still: {len(cool.service_rows('my-service'))}")

@@ -114,8 +114,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         scenarios = faults.gen_suite(topology, args.difficulty, args.seed)
         text = faults.suite_to_jsonl(scenarios, topology.name)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(args.out, text)
             print(f"wrote {len(scenarios)} scenarios to {args.out}")
         else:
             sys.stdout.write(text)
@@ -225,35 +224,39 @@ def _train(args: argparse.Namespace) -> int:
     if args.init_checkpoint:
         init = training.load_checkpoint(args.init_checkpoint, library, topology)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     sft_data, pairs = (), ()
     if args.stage == "sft":
         sft_data = training.harvest_expert(
             env, ExpertPolicy(library), n=len(scenarios), seed=args.seed
         )
-        with open(os.path.join(args.out_dir, "sft_data.jsonl"), "w", encoding="utf-8") as fh:
-            fh.write(training.sft_examples_to_jsonl(sft_data))
     elif args.stage == "real_rft":
         pairs = training.mine_preference_pairs(
             env, init, n_rollouts=training.mining_rollouts(env), seed=args.seed
         )
-        with open(os.path.join(args.out_dir, "pref_pairs.jsonl"), "w", encoding="utf-8") as fh:
-            fh.write(training.pref_pairs_to_jsonl(pairs))
-
     policy, curve = training.train_stage(
         config, env, init_policy=init, sft_data=sft_data, pairs=pairs
     )
 
+    # Only a stage that trained writes anything, so a failed one leaves no stale data.
+    os.makedirs(args.out_dir, exist_ok=True)
+    if sft_data:
+        _write(os.path.join(args.out_dir, "sft_data.jsonl"), training.sft_examples_to_jsonl(sft_data))
+    if pairs:
+        _write(os.path.join(args.out_dir, "pref_pairs.jsonl"), training.pref_pairs_to_jsonl(pairs))
     checkpoint_path = os.path.join(args.out_dir, f"{args.stage}.json")
     training.save_checkpoint(checkpoint_path, policy, config)
     curve_path = os.path.join(args.out_dir, f"{args.stage}_curve.csv")
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write(curve.to_csv())
+    _write(curve_path, curve.to_csv())
     print(f"checkpoint: {checkpoint_path}")
     print(f"curve: {curve_path}")
     if curve.points:
         print(f"final loss: {curve.points[-1]['loss']:.6f}")
     return 0
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 if __name__ == "__main__":

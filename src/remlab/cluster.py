@@ -33,17 +33,18 @@ Fault semantics that matter for remediation:
 Storage
 -------
 Metrics live in arrays, one row per pod or link, in the order of
-``ClusterState.pods`` and ``ClusterState.links``:
+``ClusterState.pods`` and ``Topology.links``:
 
 * ``pod_metrics``: float64, shape (P, 3), columns cpu_pct, mem_pct,
   io_await_ms;
 * ``pod_phase``: int8, shape (P,), an index into ``PHASES``;
 * ``link_metrics``: float64, shape (L, 2), columns added_delay_ms, loss_pct.
 
-``PodState`` and ``NetworkLink`` hold identity (ids, service, restart count)
-and read or write their own row through properties; no metric is stored
-twice. Values leave the arrays as Python floats, so probe text and digests
-print them exactly as floats.
+``PodState`` holds a pod's identity (id, service, restart count); its row is
+its index in ``ClusterState.pods``. A link's identity is its ``LinkSpec``.
+No metric is stored twice. Values leave the arrays as Python floats
+(``.item()`` or ``.tolist()``), so probe text and digests print them exactly
+as floats.
 
 Each ``step`` draws its noise in one call, ``rng.normal(0, NOISE_SIGMA,
 3P + 2L)``: the first 3P values go to the pods in row order (cpu, mem, io of
@@ -57,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -95,9 +95,9 @@ class PerturbationKind(str, Enum):
 
 
 PHASES = tuple(PodPhase)  # pod_phase holds indices into this
-_PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
-_RUNNING = _PHASE_CODE[PodPhase.RUNNING]
-_CRASH_LOOP = _PHASE_CODE[PodPhase.CRASH_LOOP]
+PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
+_RUNNING = PHASE_CODE[PodPhase.RUNNING]
+_CRASH_LOOP = PHASE_CODE[PodPhase.CRASH_LOOP]
 
 # The metric columns of pod_metrics and link_metrics, in column order.
 POD_METRICS = ("cpu_pct", "mem_pct", "io_await_ms")
@@ -123,92 +123,26 @@ def target_services(target: str) -> tuple[str, ...]:
     return split_link_key(target) if "->" in target else (target,)
 
 
-class _Cell:
-    """Attribute that reads and writes one column of its owner's row in a cluster array."""
-
-    def __init__(self, array: str, column: int):
-        self.array = array
-        self.column = column
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        return getattr(obj._state(), self.array).item(obj._row, self.column)
-
-    def __set__(self, obj, value: float) -> None:
-        getattr(obj._state(), self.array)[obj._row, self.column] = value
-
-
+@dataclass(slots=True)
 class PodState:
-    """One pod. Its metrics and phase are row ``_row`` of its cluster's arrays.
+    """One pod's identity. Its metrics and phase are the row of the cluster's
+    pod arrays at its index in ``ClusterState.pods``."""
 
-    The cluster is held by a weak reference, so a finished episode's state
-    is freed as soon as it is dropped rather than at the next cyclic garbage
-    collection. A pod scaled away leaves the cluster and no longer has metrics.
-    """
-
-    __slots__ = ("pod_id", "service", "restarts", "_state", "_row")
-
-    cpu_pct = _Cell("pod_metrics", 0)
-    mem_pct = _Cell("pod_metrics", 1)
-    io_await_ms = _Cell("pod_metrics", 2)
-
-    def __init__(self, state: ClusterState, row: int, pod_id: str, service: str):
-        self.pod_id = pod_id
-        self.service = service
-        self.restarts = 0
-        self._state = weakref.ref(state)
-        self._row = row
-
-    @property
-    def phase(self) -> PodPhase:
-        return PHASES[self._state().pod_phase.item(self._row)]
-
-    @phase.setter
-    def phase(self, value: PodPhase) -> None:
-        self._state().pod_phase[self._row] = _PHASE_CODE[value]
-
-    def __repr__(self) -> str:
-        return f"PodState({self.pod_id!r})"
-
-
-class NetworkLink:
-    """One directed link. Its metrics are row ``_row`` of its cluster's link_metrics,
-    which it holds by a weak reference, like ``PodState``."""
-
-    __slots__ = ("src", "dst", "base_latency_ms", "_state", "_row")
-
-    added_delay_ms = _Cell("link_metrics", 0)
-    loss_pct = _Cell("link_metrics", 1)
-
-    def __init__(self, state: ClusterState, row: int, src: str, dst: str, base_latency_ms: float):
-        self.src = src
-        self.dst = dst
-        self.base_latency_ms = base_latency_ms
-        self._state = weakref.ref(state)
-        self._row = row
-
-    @property
-    def key(self) -> str:
-        return link_key(self.src, self.dst)
-
-    def __repr__(self) -> str:
-        return f"NetworkLink({self.key!r})"
+    pod_id: str
+    service: str
+    restarts: int = 0
 
 
 # The metric each perturbation kind drives; pod_kill and config_corrupt drive none.
-METRIC_OF: dict[PerturbationKind, _Cell] = {
-    PerturbationKind.CPU_STRESS: PodState.cpu_pct,
-    PerturbationKind.MEM_STRESS: PodState.mem_pct,
-    PerturbationKind.IO_STRESS: PodState.io_await_ms,
-    PerturbationKind.NET_DELAY: NetworkLink.added_delay_ms,
-    PerturbationKind.NET_LOSS: NetworkLink.loss_pct,
+METRIC_OF: dict[PerturbationKind, str] = {
+    PerturbationKind.CPU_STRESS: "cpu_pct",
+    PerturbationKind.MEM_STRESS: "mem_pct",
+    PerturbationKind.IO_STRESS: "io_await_ms",
+    PerturbationKind.NET_DELAY: "added_delay_ms",
+    PerturbationKind.NET_LOSS: "loss_pct",
 }
-STRESS_KINDS = frozenset(k for k, cell in METRIC_OF.items() if cell.array == "pod_metrics")
-LINK_KINDS = frozenset(k for k, cell in METRIC_OF.items() if cell.array == "link_metrics")
+STRESS_KINDS = frozenset(k for k, metric in METRIC_OF.items() if metric in POD_METRICS)
+LINK_KINDS = frozenset(k for k, metric in METRIC_OF.items() if metric in LINK_METRICS)
 # Faults that live inside a pod and therefore die with it on restart.
 IN_POD_KINDS = STRESS_KINDS | {PerturbationKind.POD_KILL}
 
@@ -345,7 +279,6 @@ class ClusterState:
     seed: int
     clock_ms: int = 0
     pods: list[PodState] = field(default_factory=list)
-    links: list[NetworkLink] = field(default_factory=list)
     pod_metrics: np.ndarray = field(default_factory=lambda: np.empty((0, 3)), repr=False)
     pod_phase: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8), repr=False)
     link_metrics: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), repr=False)
@@ -376,8 +309,9 @@ class ClusterState:
     def lineage(self) -> str:
         return f"{self.topology.name}:{self.seed}"
 
-    def service_pods(self, service: str) -> list[PodState]:
-        return [p for p in self.pods if p.service == service]
+    def service_rows(self, service: str) -> list[int]:
+        """The rows of the pods of ``service``, in pod order."""
+        return [row for row, p in enumerate(self.pods) if p.service == service]
 
     # The checked accessors: each raises NotFoundError for a name the cluster lacks.
 
@@ -387,11 +321,12 @@ class ClusterState:
             raise NotFoundError(f"unknown service {service!r}")
         return spec
 
-    def link(self, src: str, dst: str) -> NetworkLink:
+    def link(self, src: str, dst: str) -> int:
+        """The row of link ``src -> dst`` in ``link_metrics`` and ``topology.links``."""
         row = self._link_row.get(link_key(src, dst))
         if row is None:
             raise NotFoundError(f"unknown link {src!r} -> {dst!r}")
-        return self.links[row]
+        return row
 
     def declared(self, service: str, key: str) -> str:
         """The declared value of config ``key`` of ``service``."""
@@ -427,10 +362,8 @@ def load_topology(topology: Topology, seed: int = 0) -> ClusterState:
         for key, value in spec.config.items():
             state._config[(spec.name, key)] = value
     _append_pods(state, [spec.name for spec in specs for _ in range(spec.desired_replicas)])
-    for row, link in enumerate(topology.links):
-        state.links.append(NetworkLink(state, row, link.src, link.dst, link.base_latency_ms))
-        state._link_row[link_key(link.src, link.dst)] = row
-    state.link_metrics = np.zeros((len(state.links), 2))
+    state._link_row = {link_key(l.src, l.dst): row for row, l in enumerate(topology.links)}
+    state.link_metrics = np.zeros((len(topology.links), 2))
     return state
 
 
@@ -440,7 +373,7 @@ def _append_pods(state: ClusterState, services: list[str]) -> None:
     for service in services:
         idx = state._pod_seq[service]
         state._pod_seq[service] = idx + 1
-        state.pods.append(PodState(state, len(state.pods), f"{service}-{idx}", service))
+        state.pods.append(PodState(f"{service}-{idx}", service))
     state.pod_metrics = np.concatenate((state.pod_metrics, state._service_baseline[new_service]))
     state.pod_phase = np.concatenate(
         (state.pod_phase, np.full(len(services), _RUNNING, dtype=np.int8))
@@ -448,18 +381,14 @@ def _append_pods(state: ClusterState, services: list[str]) -> None:
     state._pod_service = np.concatenate((state._pod_service, new_service))
 
 
-def _drop_pods(state: ClusterState, doomed: list[PodState]) -> None:
-    """Remove ``doomed`` from the pod list and every pod array; later rows move up."""
-    keep = np.ones(len(state.pods), dtype=bool)
-    keep[[pod._row for pod in doomed]] = False
-    state.pods[:] = [pod for pod in state.pods if keep[pod._row]]
-    for row, pod in enumerate(state.pods):
-        pod._row = row
-    for pod in doomed:
-        pod._state = None
-    state.pod_metrics = state.pod_metrics[keep]
-    state.pod_phase = state.pod_phase[keep]
-    state._pod_service = state._pod_service[keep]
+def _drop_pods(state: ClusterState, rows: list[int]) -> None:
+    """Remove the pods at ``rows`` (ascending) from the pod list and every pod array;
+    later rows move up."""
+    for row in reversed(rows):
+        del state.pods[row]
+    state.pod_metrics = np.delete(state.pod_metrics, rows, axis=0)
+    state.pod_phase = np.delete(state.pod_phase, rows)
+    state._pod_service = np.delete(state._pod_service, rows)
 
 
 def set_config(state: ClusterState, service: str, key: str, value: str) -> str:
@@ -510,13 +439,13 @@ def _remove_perturbations(state: ClusterState, perts: list[Perturbation]) -> int
 
 def snap_link_metric(state: ClusterState, kind: PerturbationKind, target: str) -> None:
     """Zero the metric a link kind drives on link ``target``."""
-    setattr(state.link(*split_link_key(target)), METRIC_OF[kind].name, 0.0)
+    state.link_metrics[state.link(*split_link_key(target)), LINK_METRICS.index(METRIC_OF[kind])] = 0.0
 
 
-def reset_pods(state: ClusterState, pods: list[PodState]) -> None:
-    """Set ``pods`` Running with their service's baseline metrics. Restart counts stay."""
-    for pod in pods:
-        row = pod._row
+def reset_pods(state: ClusterState, rows: list[int]) -> None:
+    """Set the pods at ``rows`` Running with their service's baseline metrics.
+    Restart counts stay."""
+    for row in rows:
         state.pod_phase[row] = _RUNNING
         state.pod_metrics[row] = state._service_baseline[state._pod_service[row]]
 
@@ -540,14 +469,12 @@ def step(state: ClusterState, dt_ms: int) -> ClusterState:
     link_target = np.zeros(links.shape)
     # Later perturbations of the same kind and target override earlier ones.
     for pert in state.perturbations:
-        cell = METRIC_OF.get(pert.kind)
-        if cell is None:
-            continue
-        if cell.array == "pod_metrics":
+        metric = METRIC_OF.get(pert.kind)
+        if metric in POD_METRICS:
             service = state._service_index.get(pert.target, -1)
-            pod_target[:, cell.column][state._pod_service == service] = pert.magnitude
-        elif (row := state._link_row.get(pert.target)) is not None:
-            link_target[row, cell.column] = pert.magnitude
+            pod_target[:, POD_METRICS.index(metric)][state._pod_service == service] = pert.magnitude
+        elif metric is not None and (row := state._link_row.get(pert.target)) is not None:
+            link_target[row, LINK_METRICS.index(metric)] = pert.magnitude
     # A pod that is not running consumes nothing.
     pod_target = np.where(running[:, None], pod_target, 0.0)
 
@@ -574,38 +501,45 @@ def settle(state: ClusterState, steps: int, dt_ms: int) -> None:
 
 def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
     """Answer a read-only query. Never mutates state."""
+    if query.kind in (ProbeKind.POD_METRICS, ProbeKind.POD_LIST):
+        service = state.service_spec(query.service).name
+        pods = [
+            (pod, PHASES[code].value, metrics)
+            for pod, code, metrics in zip(
+                state.pods, state.pod_phase.tolist(), state.pod_metrics.tolist()
+            )
+            if pod.service == service
+        ]
     if query.kind == ProbeKind.POD_METRICS:
-        pods = state.service_pods(state.service_spec(query.service).name)
         payload = {
             "service": query.service,
             "pods": [
                 {
                     "pod_id": p.pod_id,
-                    "phase": p.phase.value,
-                    "cpu_pct": round(p.cpu_pct, 2),
-                    "mem_pct": round(p.mem_pct, 2),
-                    "io_await_ms": round(p.io_await_ms, 2),
+                    "phase": phase,
+                    "cpu_pct": round(cpu, 2),
+                    "mem_pct": round(mem, 2),
+                    "io_await_ms": round(io, 2),
                     "restarts": p.restarts,
                 }
-                for p in pods
+                for p, phase, (cpu, mem, io) in pods
             ],
         }
         lines = [f"pod metrics for {query.service}:"]
-        for p in pods:
+        for p, phase, (cpu, mem, io) in pods:
             lines.append(
-                f"  {p.pod_id} phase={p.phase.value} cpu={p.cpu_pct:.2f}% "
-                f"mem={p.mem_pct:.2f}% io_await={p.io_await_ms:.2f}ms restarts={p.restarts}"
+                f"  {p.pod_id} phase={phase} cpu={cpu:.2f}% "
+                f"mem={mem:.2f}% io_await={io:.2f}ms restarts={p.restarts}"
             )
         return ProbeResult(payload, "\n".join(lines))
 
     if query.kind == ProbeKind.POD_LIST:
-        pods = state.service_pods(state.service_spec(query.service).name)
         payload = {
             "service": query.service,
-            "pods": [{"pod_id": p.pod_id, "phase": p.phase.value} for p in pods],
+            "pods": [{"pod_id": p.pod_id, "phase": phase} for p, phase, _ in pods],
         }
         lines = [f"pods for {query.service}:"]
-        lines += [f"  {p.pod_id} {p.phase.value}" for p in pods]
+        lines += [f"  {p.pod_id} {phase}" for p, phase, _ in pods]
         return ProbeResult(payload, "\n".join(lines))
 
     if query.kind == ProbeKind.CONFIG_GET:
@@ -623,17 +557,19 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
         return ProbeResult(payload, text)
 
     if query.kind == ProbeKind.LINK_STATS:
-        link = state.link(query.src, query.dst)
+        row = state.link(query.src, query.dst)
+        link = state.topology.links[row]
+        delay, loss = state.link_metrics[row].tolist()
         payload = {
             "src": link.src,
             "dst": link.dst,
             "base_latency_ms": round(link.base_latency_ms, 2),
-            "added_delay_ms": round(link.added_delay_ms, 2),
-            "loss_pct": round(link.loss_pct, 2),
+            "added_delay_ms": round(delay, 2),
+            "loss_pct": round(loss, 2),
         }
         text = (
             f"link {link.src} -> {link.dst}: base_latency={link.base_latency_ms:.2f}ms "
-            f"added_delay={link.added_delay_ms:.2f}ms loss={link.loss_pct:.2f}%"
+            f"added_delay={delay:.2f}ms loss={loss:.2f}%"
         )
         return ProbeResult(payload, text)
 
@@ -651,17 +587,17 @@ def observe(state: ClusterState, query: ProbeQuery) -> ProbeResult:
 def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, ActionOutcome]:
     """Apply one cluster action, returning the (mutated) state and outcome."""
     if isinstance(action, RestartPod):
-        pod = next((p for p in state.pods if p.pod_id == action.pod_id), None)
-        if pod is None:
+        row = next((r for r, p in enumerate(state.pods) if p.pod_id == action.pod_id), None)
+        if row is None:
             raise NotFoundError(f"unknown pod {action.pod_id!r}")
-        _restart_pods(state, [pod])
-        return state, ActionOutcome(changed=True, stdout=f"pod {pod.pod_id} restarted")
+        _restart_pods(state, [row])
+        return state, ActionOutcome(changed=True, stdout=f"pod {action.pod_id} restarted")
 
     if isinstance(action, RestartService):
-        pods = state.service_pods(state.service_spec(action.service).name)
-        _restart_pods(state, pods)
+        rows = state.service_rows(state.service_spec(action.service).name)
+        _restart_pods(state, rows)
         return state, ActionOutcome(
-            changed=True, stdout=f"service {action.service} restarted ({len(pods)} pods)"
+            changed=True, stdout=f"service {action.service} restarted ({len(rows)} pods)"
         )
 
     if isinstance(action, ScaleService):
@@ -673,7 +609,7 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
             raise InvalidArgumentError(
                 f"service {action.service} scales to at most {cap} replicas"
             )
-        current = state.service_pods(action.service)
+        current = state.service_rows(action.service)
         delta = action.replicas - len(current)
         if delta > 0:
             _append_pods(state, [action.service] * delta)
@@ -700,7 +636,8 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
         return state, ActionOutcome(changed=True, stdout=f"process {action.handle} killed")
 
     if isinstance(action, ClearLinkShaping):
-        target = state.link(action.src, action.dst).key
+        state.link(action.src, action.dst)
+        target = link_key(action.src, action.dst)
         perts = [
             p for p in state.perturbations if p.kind in LINK_KINDS and p.target == target
         ]
@@ -723,9 +660,10 @@ def apply(state: ClusterState, action: ClusterAction) -> tuple[ClusterState, Act
     raise InvalidArgumentError(f"unknown action {action!r}")
 
 
-def _restart_pods(state: ClusterState, pods: list[PodState]) -> None:
+def _restart_pods(state: ClusterState, rows: list[int]) -> None:
+    pods = [state.pods[row] for row in rows]
     services = {p.service for p in pods}
-    reset_pods(state, pods)
+    reset_pods(state, rows)
     for pod in pods:
         pod.restarts += 1
     doomed = [
@@ -758,7 +696,7 @@ def state_doc(state: ClusterState) -> dict:
         ],
         "links": [
             [l.src, l.dst, l.base_latency_ms, *metrics]
-            for l, metrics in zip(state.links, state.link_metrics.tolist())
+            for l, metrics in zip(state.topology.links, state.link_metrics.tolist())
         ],
         "config": sorted(
             [svc, key, value] for (svc, key), value in state.config_store.items()
@@ -793,18 +731,21 @@ def nominal(state: ClusterState, target: str, metrics: tuple[str, ...] | None = 
     cluster does not have.
     """
     if "->" in target:
-        link = state.link(*split_link_key(target))
+        row = state.link(*split_link_key(target))
         for metric in LINK_METRICS if metrics is None else metrics:
-            if not in_band(getattr(link, metric), 0.0):
+            if not in_band(state.link_metrics.item(row, LINK_METRICS.index(metric)), 0.0):
                 return False
         return True
     baseline = state.service_spec(target).baseline
-    judged = POD_METRICS if metrics is None else metrics
-    pods = state.service_pods(target)
-    for pod in pods:
-        if pod.phase != PodPhase.RUNNING:
+    judged = [
+        (POD_METRICS.index(metric), getattr(baseline, metric))
+        for metric in (POD_METRICS if metrics is None else metrics)
+    ]
+    rows = state.service_rows(target)
+    for row in rows:
+        if state.pod_phase.item(row) != _RUNNING:
             return False
-        for metric in judged:
-            if not in_band(getattr(pod, metric), getattr(baseline, metric)):
+        for column, center in judged:
+            if not in_band(state.pod_metrics.item(row, column), center):
                 return False
-    return bool(pods)
+    return bool(rows)

@@ -18,7 +18,7 @@ class InvalidArgumentError(RemlabError):
 
 
 class ConfigError(InvalidArgumentError):
-    """A LoopConfig or TrainConfig field is out of range; the CLI reports a bad flag."""
+    """A LoopConfig, TrainConfig or RewardWeights field is out of range; the CLI reports a bad flag."""
 
 
 class InjectionError(RemlabError):

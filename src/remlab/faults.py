@@ -29,6 +29,8 @@ from . import cluster
 from .cluster import (
     ClusterState,
     PerturbationKind,
+    PHASE_CODE,
+    PHASES,
     PodPhase,
     METRIC_OF,
     RECOVERY_BAND,
@@ -215,9 +217,9 @@ def inject(state: ClusterState, spec: FailureSpec) -> FailureRecord:
         pert = cluster.add_perturbation(state, spec.row.kind, spec.target, magnitude)
         handles = (pert.handle,)
         if spec.ftype == FailureType.POD_FAILURE:
-            running = [p for p in state.service_pods(spec.target) if p.phase == PodPhase.RUNNING]
-            for pod in running[: max(1, int(magnitude))]:
-                pod.phase = PodPhase.CRASH_LOOP
+            rows = state.service_rows(spec.target)
+            running = [r for r in rows if PHASES[state.pod_phase.item(r)] == PodPhase.RUNNING]
+            state.pod_phase[running[: max(1, int(magnitude))]] = PHASE_CODE[PodPhase.CRASH_LOOP]
     return FailureRecord(spec, handles, original_values, state.lineage)
 
 
@@ -307,7 +309,7 @@ def oracle_verify(state: ClusterState, record: FailureRecord) -> bool:
                 return False
     elif state.active(kind, spec.target):
         return False
-    metrics = (METRIC_OF[kind].name,) if kind in METRIC_OF else ()
+    metrics = (METRIC_OF[kind],) if kind in METRIC_OF else ()
     return cluster.nominal(state, spec.target, metrics)
 
 
@@ -337,7 +339,7 @@ def restore(state: ClusterState, record: FailureRecord) -> ClusterState:
     if spec.ftype in NETWORK_TYPES:
         cluster.snap_link_metric(state, spec.row.kind, spec.target)
     else:
-        cluster.reset_pods(state, state.service_pods(spec.target))
+        cluster.reset_pods(state, state.service_rows(spec.target))
     return state
 
 

@@ -11,8 +11,10 @@ succeeded, else 0. The safety penalty applies regardless of outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .loop import Episode
 from .playbook import r_exec as trace_r_exec
 
@@ -26,6 +28,10 @@ class RewardWeights:
     gamma: float = 0.1
     delta: float = 0.5
     lam: float = 2.0
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(w) for w in self.as_tuple()):
+            raise ConfigError(f"reward weights must be finite, got {self.as_tuple()}")
 
     @classmethod
     def from_csv(cls, text: str) -> "RewardWeights":

@@ -38,6 +38,12 @@ from .policies import Policy, PolicyInput, PolicyOutput, ProbeRequest, RemedyPro
 DEFAULT_ENV_PREFIX = "REMLAB_LLM"
 # A reply longer than this is a TransportError; no more than one byte past it is read.
 MAX_REPLY_BYTES = 1 << 20
+# Transport: attempts per request, the backoff before the second (doubling after),
+# the per-attempt timeout, and the in-flight requests allowed per EndpointConfig.
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
+TIMEOUT_S = 60.0
+MAX_INFLIGHT = 4
 
 SYSTEM_TEMPLATE = """\
 You are a site reliability engineer remediating a simulated microservice cluster.
@@ -76,16 +82,12 @@ class EndpointConfig:
     url: str
     api_key: str | None = None
     model: str = "default"
-    max_retries: int = 3
-    backoff_s: float = 0.5
-    timeout_s: float = 60.0
-    max_inflight: int = 4  # in-flight request bound shared by policies on this config
     _gate: threading.BoundedSemaphore = field(
         init=False, repr=False, compare=False, default=None
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "_gate", threading.BoundedSemaphore(self.max_inflight))
+        object.__setattr__(self, "_gate", threading.BoundedSemaphore(MAX_INFLIGHT))
 
     @classmethod
     def from_env(cls, prefix: str = DEFAULT_ENV_PREFIX) -> "EndpointConfig":
@@ -147,13 +149,13 @@ class LlmPolicy(Policy):
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.config.max_retries):
+        for attempt in range(MAX_RETRIES):
             if attempt:
-                time.sleep(self.config.backoff_s * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
             request = urllib.request.Request(self.config.url, data=data, headers=headers)
             try:
                 with self.config._gate:
-                    with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
+                    with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                         raw = resp.read(MAX_REPLY_BYTES + 1)
                 if len(raw) > MAX_REPLY_BYTES:
                     raise TransportError(f"endpoint reply is longer than {MAX_REPLY_BYTES} bytes")
@@ -161,7 +163,7 @@ class LlmPolicy(Policy):
             except (urllib.error.URLError, TimeoutError, json.JSONDecodeError, OSError) as exc:
                 last_error = exc
         raise TransportError(
-            f"endpoint unreachable after {self.config.max_retries} attempts: {last_error}"
+            f"endpoint unreachable after {MAX_RETRIES} attempts: {last_error}"
         )
 
     @staticmethod

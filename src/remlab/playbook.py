@@ -66,6 +66,9 @@ _ACTION_KEYS = ("shell", "command")
 # length, so this keeps libyaml's recursive composer far from the stack depth
 # that crashes the process (about 25,000 levels), on any thread.
 MAX_PROPOSAL_CHARS = 8192
+# Most tasks a playbook holds, over all its plays. Aliases let a short text
+# repeat plays of repeated tasks, and each is built and executed.
+MAX_TASKS = 1024
 
 
 _PLAY_FIELDS = ("name", "hosts")
@@ -91,14 +94,16 @@ def _field_error(raw: Mapping, fields: tuple[str, ...]) -> str | None:
 def _action_error(task: Mapping) -> str | None:
     """Why a task's action is invalid, or None; parse and structure share this rule.
 
-    A task needs exactly one of ``shell`` / ``command``, with a string or number value.
+    A task needs exactly one of ``shell`` / ``command``, with a string or number
+    value; a boolean is not a number here.
     """
     actions = [k for k in _ACTION_KEYS if k in task]
     if not actions:
         return "no recognized action (need shell or command)"
     if len(actions) > 1:
         return "a task may have only one action"
-    if not isinstance(task[actions[0]], (str, int, float)):
+    value = task[actions[0]]
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
         return f"{actions[0]} must be a string or number"
     return None
 
@@ -168,13 +173,14 @@ def _walk(raw: object) -> tuple[Playbook | None, str | None, StructReport]:
     the first parse error in document order, or None; its structure report).
 
     The executor and the structure grader see one traversal, so they agree on
-    every rule. ``[]`` parses to zero plays yet fails every check.
+    every rule. ``[]`` parses to zero plays yet fails every check. A document
+    of more than MAX_TASKS tasks is read no further, and fails every check.
     """
     if not isinstance(raw, list):
         return None, "empty document" if raw is None else "expected a list of plays", EMPTY_STRUCT
     error: str | None = None
     plays: list[Play] = []
-    n_plays = 0  # plays that are mappings
+    n_plays = n_tasks = 0  # plays that are mappings; tasks of every play
     has_play = hosts_present = tasks_nonempty = True
     actions_valid = register_unique = when_resolvable = True
     for p_idx, play_raw in enumerate(raw):
@@ -196,6 +202,9 @@ def _walk(raw: object) -> tuple[Playbook | None, str | None, StructReport]:
             if tasks_raw:
                 error = error or f"play {p_idx}: tasks must be a list"
             tasks_raw = ()
+        n_tasks += len(tasks_raw)
+        if n_tasks > MAX_TASKS:
+            return None, f"play {p_idx}: the playbook has more than {MAX_TASKS} tasks", EMPTY_STRUCT
         registers: set[str] = set()  # of this play's earlier tasks
         tasks = []
         for t_idx, task_raw in enumerate(tasks_raw):
@@ -671,12 +680,14 @@ def _perform(
         return True, f"killed {len(handles)} process(es)"
     if isinstance(action, ReadMax):
         if action.service is None:
-            pods = state.pods
+            rows = range(len(state.pods))
         elif action.strict:
-            pods = state.service_pods(state.service_spec(action.service).name)
+            rows = state.service_rows(state.service_spec(action.service).name)
         else:
-            pods = state.service_pods(action.service)
-        return False, (f"{max(getattr(p, action.metric) for p in pods):.2f}" if pods else "0.00")
+            rows = state.service_rows(action.service)
+        column = cluster.POD_METRICS.index(action.metric)
+        values = [state.pod_metrics.item(row, column) for row in rows]
+        return False, (f"{max(values):.2f}" if values else "0.00")
     if isinstance(action, CannotRun):
         raise InvalidArgumentError(action.reason)
     _, outcome = cluster.apply(state, action)

@@ -1,11 +1,6 @@
-"""The one place remlab picks its YAML implementation.
-
-PyYAML's libyaml classes (``CSafeLoader`` / ``CSafeDumper``) are used when
-PyYAML was built with libyaml, else the pure-Python ``SafeLoader`` /
-``SafeDumper``. Both emit the same text and load the same documents, with
-two known exceptions: a double-quoted surrogate escape such as ``"\\ud800"``
-loads only under pure Python, and nesting past Python's recursion limit
-loads only under libyaml.
+"""The one place remlab picks its YAML implementation: PyYAML's libyaml
+classes, ``CSafeLoader`` and ``CSafeDumper``. remlab requires PyYAML built
+with libyaml, and this module refuses to import without it.
 
 libyaml composes nested nodes by recursion in C, with no depth check: about
 25,000 nested ``[`` overflow an 8 MiB stack and kill the process. Callers
@@ -17,10 +12,9 @@ from __future__ import annotations
 
 import yaml
 
-if yaml.__with_libyaml__:
-    Loader, Dumper = yaml.CSafeLoader, yaml.CSafeDumper
-else:
-    Loader, Dumper = yaml.SafeLoader, yaml.SafeDumper  # unreached: only PyYAML without libyaml
+if not yaml.__with_libyaml__:
+    raise ImportError("remlab requires PyYAML built with libyaml (yaml.__with_libyaml__ is False)")
+Loader, Dumper = yaml.CSafeLoader, yaml.CSafeDumper
 
 
 def load(text: str) -> object:

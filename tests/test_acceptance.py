@@ -363,17 +363,15 @@ def test_criterion_08_cpu_scaling_playbook(cpu_scale_playbook_text, one_service_
         assert playbook.check_safety(pb, constraints).unsafe is False
 
         hot = one_service_state
-        for pod in hot.pods:
-            pod.cpu_pct = 80.01
+        hot.pod_metrics[:, 0] = 80.01  # cpu_pct of every pod
         playbook.execute(pb, hot)
-        assert len(hot.service_pods("my-service")) == 4
+        assert len(hot.service_rows("my-service")) == 4
 
         cool = cluster.load_topology(hot.topology, seed=4)
-        for pod in cool.pods:
-            pod.cpu_pct = 80.0  # boundary: not strictly greater
+        cool.pod_metrics[:, 0] = 80.0  # cpu_pct of every pod; boundary: not strictly greater
         trace = playbook.execute(pb, cool)
         assert trace.results[1].status == playbook.TaskStatus.SKIPPED
-        assert len(cool.service_pods("my-service")) == 2
+        assert len(cool.service_rows("my-service")) == 2
 
 
 # --- 9. determinism of persisted runs ------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from remlab import training
 from remlab.cli import main
 from remlab.llm import LlmPolicy
-from remlab.policies import N_CONTEXT_CLASSES, ToyPolicy
+from remlab.policies import CONTEXT_CLASSES, N_CONTEXT_CLASSES, ToyPolicy
 
 
 def test_topology_check_ok(capsys):
@@ -140,6 +140,25 @@ def test_non_finite_checkpoint_is_a_run_error(tmp_path, capsys, library, simple_
     assert "run error:" in capsys.readouterr().err
 
 
+def test_a_real_rft_stage_that_mines_no_pair_leaves_no_output(tmp_path, capsys, library, simple_micro):
+    """A policy that always picks the scripted fix yields no preference pair, so the
+    stage fails; it fails before writing anything into --out-dir."""
+    theta = np.zeros((N_CONTEXT_CLASSES, len(library)))
+    for row, (ftype, _, _) in enumerate(CONTEXT_CLASSES):
+        theta[row, library.expert_action(ftype)] = 1000.0
+    path = tmp_path / "expert.json"
+    training.save_checkpoint(
+        str(path), ToyPolicy(theta, library, simple_micro), training.TrainConfig(stage="sft")
+    )
+    out_dir = tmp_path / "out"
+    assert main([
+        "train", "--stage", "real_rft", "--iterations", "5",
+        "--init-checkpoint", str(path), "--out-dir", str(out_dir),
+    ]) == 1
+    assert capsys.readouterr().err == "run error: no preference pairs\n"
+    assert not out_dir.exists()
+
+
 def test_suite_gen_without_out_writes_stdout(capsys):
     assert main(["suite", "gen", "--difficulty", "easy", "--seed", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -213,6 +232,8 @@ def test_a_file_that_cannot_be_opened_is_a_run_error(tmp_path, capsys, argv):
         ["train", "--stage", "sim_rft", "--group-size", "1"],
         ["train", "--stage", "sim_rft"],
         ["train", "--stage", "real_rft"],
+        ["run", "--weights", "1,2,3,4,nan"],
+        ["run", "--weights", "inf,0.1,0.1,0.5,2"],
     ],
 )
 def test_a_bad_flag_value_is_a_configuration_error_before_any_work(tmp_path, capsys, argv):

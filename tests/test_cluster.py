@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,8 @@ from remlab.cluster import (
     ClearLinkShaping,
     KillProcess,
     Noop,
+    PHASE_CODE,
+    PHASES,
     PerturbationKind,
     PodPhase,
     RECOVERY_BAND,
@@ -46,7 +50,7 @@ def test_load_minimal_topology():
     topology = parse_topology("name: t\nservices: [{name: a, replicas: 1}]\n")
     state = load_topology(topology, seed=0)
     assert len(state.pods) == 1
-    assert state.pods[0].phase == PodPhase.RUNNING
+    assert PHASES[state.pod_phase[0]] == PodPhase.RUNNING
     assert state.clock_ms == 0
 
 
@@ -75,19 +79,19 @@ def test_step_rejects_nonpositive_dt(state):
 def test_healthy_pod_stays_in_noise_band(state):
     for _ in range(50):
         step(state, 1000)
-    for pod in state.pods:
+    for pod, (cpu, mem, io) in zip(state.pods, state.pod_metrics.tolist()):
         baseline = state.topology.service(pod.service).baseline
-        assert abs(pod.cpu_pct - baseline.cpu_pct) <= RECOVERY_BAND
-        assert abs(pod.mem_pct - baseline.mem_pct) <= RECOVERY_BAND
-        assert abs(pod.io_await_ms - baseline.io_await_ms) <= RECOVERY_BAND
+        assert abs(cpu - baseline.cpu_pct) <= RECOVERY_BAND
+        assert abs(mem - baseline.mem_pct) <= RECOVERY_BAND
+        assert abs(io - baseline.io_await_ms) <= RECOVERY_BAND
 
 
 def test_stress_setpoint_convergence(state):
     cluster.add_perturbation(state, PerturbationKind.CPU_STRESS, "orders", 95.0)
     for _ in range(50):
         step(state, 1000)
-    for pod in state.service_pods("orders"):
-        assert pod.cpu_pct >= 90.0
+    for row in state.service_rows("orders"):
+        assert state.pod_metrics[row, 0] >= 90.0  # cpu_pct
 
 
 def test_step_never_removes_perturbations(state):
@@ -151,11 +155,12 @@ def test_topology_summary_probe_includes_declared_config(state):
 
 
 def test_restart_pod_heals_crashloop(state):
-    pod = state.service_pods("orders")[0]
-    pod.phase = PodPhase.CRASH_LOOP
+    row = state.service_rows("orders")[0]
+    pod = state.pods[row]
+    state.pod_phase[row] = PHASE_CODE[PodPhase.CRASH_LOOP]
     restarts = pod.restarts
     cluster.apply(state, RestartPod(pod.pod_id))
-    assert pod.phase == PodPhase.RUNNING
+    assert PHASES[state.pod_phase[row]] == PodPhase.RUNNING
     assert pod.restarts == restarts + 1
 
 
@@ -177,16 +182,16 @@ def test_remove_perturbation_decrements_by_one(state):
 
 def test_scale_up_and_down(state):
     cluster.apply(state, ScaleService("orders", 4))
-    assert len(state.service_pods("orders")) == 4
+    assert len(state.service_rows("orders")) == 4
     cluster.apply(state, ScaleService("orders", 1))
-    assert len(state.service_pods("orders")) == 1
+    assert len(state.service_rows("orders")) == 1
     _, outcome = cluster.apply(state, ScaleService("orders", 1))
     assert outcome.changed is False
 
 
 def test_scale_to_zero_is_legal_but_negative_is_not(state):
     cluster.apply(state, ScaleService("orders", 0))
-    assert state.service_pods("orders") == []
+    assert state.service_rows("orders") == []
     with pytest.raises(InvalidArgumentError):
         cluster.apply(state, ScaleService("orders", -1))
 
@@ -211,10 +216,10 @@ def test_clear_link_shaping_snaps_metrics(state):
     cluster.add_perturbation(state, PerturbationKind.NET_LOSS, "frontend->gateway", 40.0)
     for _ in range(20):
         step(state, 1000)
-    link = state.link("frontend", "gateway")
-    assert link.loss_pct > 30.0
+    row = state.link("frontend", "gateway")
+    assert state.link_metrics[row, 1] > 30.0  # loss_pct
     cluster.apply(state, ClearLinkShaping("frontend", "gateway"))
-    assert link.loss_pct == 0.0
+    assert state.link_metrics[row, 1] == 0.0
     assert not state.active(PerturbationKind.NET_LOSS, "frontend->gateway")
 
 
@@ -244,9 +249,40 @@ def test_split_link_key_needs_both_endpoints():
             cluster.split_link_key(target)
 
 
-def test_pod_and_link_views_repr_their_key(state):
-    assert repr(state.pods[0]) == f"PodState({state.pods[0].pod_id!r})"
-    assert repr(state.links[0]) == "NetworkLink('frontend->gateway')"
+def test_a_dropped_cluster_is_freed_without_the_cycle_collector(simple_micro):
+    """Nothing a cluster holds refers back to it, so the last reference going frees it."""
+    gc.disable()
+    try:
+        state = load_topology(simple_micro, seed=3)
+        cluster.add_perturbation(state, PerturbationKind.NET_LOSS, "frontend->gateway", 40.0)
+        cluster.apply(state, ScaleService("orders", 4))
+        cluster.apply(state, ScaleService("orders", 1))
+        step(state, 1000)
+        observe(state, cluster.pod_metrics_query("orders"))
+        dropped = weakref.ref(state)
+        del state
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("offset", [-RECOVERY_BAND, RECOVERY_BAND])
+def test_the_recovery_band_is_closed(offset):
+    """A metric exactly at baseline +/- RECOVERY_BAND is nominal; one ulp further out is not."""
+    state = load_topology(_mini(), seed=0)
+    row = state.service_rows("a")[0]
+    edge = 25.0 + offset  # cpu_pct baseline of service a
+    state.pod_metrics[row, 0] = edge
+    assert cluster.nominal(state, "a")
+    state.pod_metrics[row, 0] = math.nextafter(edge, math.copysign(math.inf, offset))
+    assert not cluster.nominal(state, "a")
+    assert cluster.nominal(state, "a", ("mem_pct",))
+
+    state.link_metrics[0, 1] = RECOVERY_BAND  # loss_pct of a->b
+    assert cluster.nominal(state, "a->b")
+    state.link_metrics[0, 1] = math.nextafter(RECOVERY_BAND, math.inf)
+    assert not cluster.nominal(state, "a->b")
+    assert cluster.nominal(state, "a->b", ("added_delay_ms",))
 
 
 def test_noop_changes_nothing(state):
@@ -258,14 +294,14 @@ def test_noop_changes_nothing(state):
 
 def test_config_corruption_crashes_pods_after_one_step(state):
     cluster.apply(state, SetConfig("orders", "db_url", "bogus"))
-    assert all(p.phase == PodPhase.RUNNING for p in state.service_pods("orders"))
+    assert all(PHASES[state.pod_phase[r]] == PodPhase.RUNNING for r in state.service_rows("orders"))
     step(state, 1000)
-    assert all(p.phase == PodPhase.CRASH_LOOP for p in state.service_pods("orders"))
+    assert all(PHASES[state.pod_phase[r]] == PodPhase.CRASH_LOOP for r in state.service_rows("orders"))
     # fix value, restart, pods stay up
     cluster.apply(state, SetConfig("orders", "db_url", "postgres://orders-db:5432/orders"))
     cluster.apply(state, RestartService("orders"))
     step(state, 1000)
-    assert all(p.phase == PodPhase.RUNNING for p in state.service_pods("orders"))
+    assert all(PHASES[state.pod_phase[r]] == PodPhase.RUNNING for r in state.service_rows("orders"))
 
 
 # --- determinism and boundedness (property style) -----------------------------------
@@ -282,8 +318,8 @@ def _decode_action(code, state):
     if kind == 1:
         return ScaleService(svc, (which % 3) + 1)
     if kind == 2:
-        pods = state.service_pods(svc)
-        return RestartPod(pods[0].pod_id) if pods else Noop()
+        rows = state.service_rows(svc)
+        return RestartPod(state.pods[rows[0]].pod_id) if rows else Noop()
     if kind == 3:
         spec = state.topology.service(svc)
         keys = sorted(spec.config)
@@ -330,13 +366,13 @@ def test_metrics_stay_bounded(codes, kinds, steps):
             pass
     for _ in range(steps):
         step(s, 1000)
-    for pod in s.pods:
-        assert 0.0 <= pod.cpu_pct <= 100.0
-        assert 0.0 <= pod.mem_pct <= 100.0
-        assert pod.io_await_ms >= 0.0
-    for link in s.links:
-        assert 0.0 <= link.loss_pct <= 100.0
-        assert link.added_delay_ms >= 0.0
+    for cpu, mem, io in s.pod_metrics.tolist():
+        assert 0.0 <= cpu <= 100.0
+        assert 0.0 <= mem <= 100.0
+        assert io >= 0.0
+    for delay, loss in s.link_metrics.tolist():
+        assert 0.0 <= loss <= 100.0
+        assert delay >= 0.0
     # referential integrity
     for pod in s.pods:
         assert pod.service in s.topology.services

@@ -16,6 +16,8 @@ from remlab.cluster import (
     ClearLinkShaping,
     KillProcess,
     NOISE_SIGMA,
+    PHASE_CODE,
+    PHASES,
     PerturbationKind,
     PodPhase,
     RELAX_TAU_MS,
@@ -80,13 +82,13 @@ def _trajectory(name):
         faults.inject(state, FailureSpec(FailureType.NETWORK_DELAY, links[1])),
     ]
     settle(3, 500)
-    act(RestartPod(state.service_pods(services[3])[0].pod_id))
+    act(RestartPod(state.pods[state.service_rows(services[3])[0]].pod_id))
     settle(1)
     act(RestartService(services[0]))
     settle(2, 2000)
     act(ScaleService(services[1], topo.service(services[1]).desired_replicas + 2))
     # Scaled up and restarted while its config is corrupted: crashes again.
-    act(ScaleService(configured, len(state.service_pods(configured)) + 1))
+    act(ScaleService(configured, len(state.service_rows(configured)) + 1))
     act(RestartService(configured))
     settle(1)
     act(ScaleService(services[1], 1))
@@ -173,15 +175,16 @@ def _reference_step(state, dt_ms):
     state.clock_ms += dt_ms
     alpha = 1.0 - math.exp(-dt_ms / RELAX_TAU_MS)
     rng = state._rng
+    pods, links = state.pod_metrics, state.link_metrics
 
     stress_setpoints = {}
     for pert in state.perturbations:
         if pert.kind in cluster.STRESS_KINDS:
             stress_setpoints[(pert.target, _STRESS_METRIC[pert.kind])] = pert.magnitude
 
-    for pod in state.pods:
+    for row, pod in enumerate(state.pods):
         spec = state.topology.service(pod.service)
-        if pod.phase == PodPhase.RUNNING:
+        if PHASES[state.pod_phase[row]] == PodPhase.RUNNING:
             targets = {
                 "cpu_pct": spec.baseline.cpu_pct,
                 "mem_pct": spec.baseline.mem_pct,
@@ -194,9 +197,10 @@ def _reference_step(state, dt_ms):
         else:
             targets = {"cpu_pct": 0.0, "mem_pct": 0.0, "io_await_ms": 0.0}
         noise = rng.normal(0.0, NOISE_SIGMA, size=3)
-        pod.cpu_pct = _clamp(pod.cpu_pct + alpha * (targets["cpu_pct"] + noise[0] - pod.cpu_pct), 0.0, 100.0)
-        pod.mem_pct = _clamp(pod.mem_pct + alpha * (targets["mem_pct"] + noise[1] - pod.mem_pct), 0.0, 100.0)
-        pod.io_await_ms = float(max(0.0, pod.io_await_ms + alpha * (targets["io_await_ms"] + noise[2] - pod.io_await_ms)))
+        cpu, mem, io = pods.item(row, 0), pods.item(row, 1), pods.item(row, 2)
+        pods[row, 0] = _clamp(cpu + alpha * (targets["cpu_pct"] + noise[0] - cpu), 0.0, 100.0)
+        pods[row, 1] = _clamp(mem + alpha * (targets["mem_pct"] + noise[1] - mem), 0.0, 100.0)
+        pods[row, 2] = float(max(0.0, io + alpha * (targets["io_await_ms"] + noise[2] - io)))
 
     delay_setpoints = {}
     loss_setpoints = {}
@@ -206,12 +210,14 @@ def _reference_step(state, dt_ms):
         elif pert.kind == PerturbationKind.NET_LOSS:
             loss_setpoints[pert.target] = pert.magnitude
 
-    for link in state.links:
+    for row, link in enumerate(state.topology.links):
         noise = rng.normal(0.0, NOISE_SIGMA, size=2)
-        delay_target = delay_setpoints.get(link.key, 0.0)
-        loss_target = loss_setpoints.get(link.key, 0.0)
-        link.added_delay_ms = float(max(0.0, link.added_delay_ms + alpha * (delay_target + noise[0] - link.added_delay_ms)))
-        link.loss_pct = _clamp(link.loss_pct + alpha * (loss_target + noise[1] - link.loss_pct), 0.0, 100.0)
+        key = cluster.link_key(link.src, link.dst)
+        delay_target = delay_setpoints.get(key, 0.0)
+        loss_target = loss_setpoints.get(key, 0.0)
+        delay, loss = links.item(row, 0), links.item(row, 1)
+        links[row, 0] = float(max(0.0, delay + alpha * (delay_target + noise[0] - delay)))
+        links[row, 1] = _clamp(loss + alpha * (loss_target + noise[1] - loss), 0.0, 100.0)
 
     for spec in state.topology.services.values():
         corrupted = any(
@@ -219,9 +225,9 @@ def _reference_step(state, dt_ms):
             for key, value in spec.config.items()
         )
         if corrupted:
-            for pod in state.pods:
-                if pod.service == spec.name and pod.phase == PodPhase.RUNNING:
-                    pod.phase = PodPhase.CRASH_LOOP
+            for row, pod in enumerate(state.pods):
+                if pod.service == spec.name and PHASES[state.pod_phase[row]] == PodPhase.RUNNING:
+                    state.pod_phase[row] = PHASE_CODE[PodPhase.CRASH_LOOP]
 
 
 _STRESS = sorted(cluster.STRESS_KINDS)
@@ -233,17 +239,17 @@ def _operate(state, op):
     kind, which = op
     services = list(state.topology.services)
     svc = services[which % len(services)]
-    link = state.links[which % len(state.links)]
+    link = state.topology.links[which % len(state.topology.links)]
     if kind == 0:
         cluster.add_perturbation(state, _STRESS[which % 3], svc, 10.0 + 3 * which)
     elif kind == 1:
-        cluster.add_perturbation(state, _LINK[which % 2], link.key, 10.0 + 3 * which)
+        cluster.add_perturbation(state, _LINK[which % 2], cluster.link_key(link.src, link.dst), 10.0 + 3 * which)
     elif kind == 2:
         cluster.apply(state, RestartService(svc))
     elif kind == 3:
-        pods = state.service_pods(svc)
-        if pods:
-            cluster.apply(state, RestartPod(pods[which % len(pods)].pod_id))
+        rows = state.service_rows(svc)
+        if rows:
+            cluster.apply(state, RestartPod(state.pods[rows[which % len(rows)]].pod_id))
     elif kind == 4:
         cap = cluster.MAX_SCALE_FACTOR * state.topology.service(svc).desired_replicas
         cluster.apply(state, ScaleService(svc, which % (cap + 1)))
@@ -261,7 +267,7 @@ def _operate(state, op):
     elif kind == 8:
         cluster.apply(state, RemovePerturbation(_STRESS[which % 3], svc))
     elif state.pods:
-        state.pods[which % len(state.pods)].phase = PodPhase.CRASH_LOOP
+        state.pod_phase[which % len(state.pods)] = PHASE_CODE[PodPhase.CRASH_LOOP]
 
 
 # An operation is a step of dt_ms, or (kind, which) for _operate.

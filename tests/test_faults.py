@@ -8,6 +8,7 @@ from remlab.bench import RunManifest, run_suite
 from remlab.cluster import (
     ClearLinkShaping,
     KillProcess,
+    PHASES,
     PerturbationKind,
     PodPhase,
     RemovePerturbation,
@@ -63,7 +64,7 @@ def test_inject_cpu_converges(state):
     assert record.handles
     for _ in range(50):
         cluster.step(state, 1000)
-    assert all(p.cpu_pct >= 90.0 for p in state.service_pods("orders"))
+    assert all(state.pod_metrics[r, 0] >= 90.0 for r in state.service_rows("orders"))  # cpu_pct
 
 
 def test_inject_config_error_saves_original(state):
@@ -71,7 +72,7 @@ def test_inject_config_error_saves_original(state):
     assert record.handles == ()
     assert record.original_values == {"db_url": "postgres://orders-db:5432/orders"}
     cluster.step(state, 1000)
-    assert all(p.phase == PodPhase.CRASH_LOOP for p in state.service_pods("orders"))
+    assert all(PHASES[state.pod_phase[r]] == PodPhase.CRASH_LOOP for r in state.service_rows("orders"))
 
 
 def test_inject_unknown_target(state):
@@ -94,9 +95,9 @@ def test_inject_magnitude_out_of_range(state):
 
 def test_pod_failure_marks_first_running_pod(state):
     inject(state, FailureSpec(FailureType.POD_FAILURE, "frontend", 1.0))
-    pods = state.service_pods("frontend")
-    assert pods[0].phase == PodPhase.CRASH_LOOP
-    assert pods[1].phase == PodPhase.RUNNING
+    rows = state.service_rows("frontend")
+    assert PHASES[state.pod_phase[rows[0]]] == PodPhase.CRASH_LOOP
+    assert PHASES[state.pod_phase[rows[1]]] == PodPhase.RUNNING
 
 
 # --- reports --------------------------------------------------------------------
@@ -241,7 +242,7 @@ def _act(state, kind, which):
             handles = sorted(state.process_table)
             cluster.apply(state, KillProcess(handles[which % len(handles)]))
     elif kind == 4:
-        link = state.links[which % len(state.links)]
+        link = state.topology.links[which % len(state.topology.links)]
         cluster.apply(state, ClearLinkShaping(link.src, link.dst))
     elif state.perturbations:
         pert = state.perturbations[which % len(state.perturbations)]
@@ -319,38 +320,43 @@ def _ref_oracle_verify(state, record):
         return False
 
     if spec.ftype in faults.NETWORK_TYPES:
-        link = state.link(*cluster.split_link_key(spec.target))
-        return cluster.in_band(getattr(link, cluster.METRIC_OF[kind].name), 0.0)
+        row = state.link(*cluster.split_link_key(spec.target))
+        column = cluster.LINK_METRICS.index(cluster.METRIC_OF[kind])
+        return cluster.in_band(state.link_metrics[row, column], 0.0)
 
     if not _ref_pods_running(state, spec.target):
         return False
     if kind not in cluster.METRIC_OF:  # pod_kill
         return True
-    metric = cluster.METRIC_OF[kind].name
+    metric = cluster.METRIC_OF[kind]
     baseline = getattr(state.topology.service(spec.target).baseline, metric)
-    return all(cluster.in_band(getattr(p, metric), baseline) for p in state.service_pods(spec.target))
+    column = cluster.POD_METRICS.index(metric)
+    return all(
+        cluster.in_band(state.pod_metrics[r, column], baseline) for r in state.service_rows(spec.target)
+    )
 
 
 def _ref_pods_running(state, service):
-    pods = state.service_pods(service)
-    return bool(pods) and all(p.phase == PodPhase.RUNNING for p in pods)
+    rows = state.service_rows(service)
+    return bool(rows) and all(PHASES[state.pod_phase[r]] == PodPhase.RUNNING for r in rows)
 
 
 def _ref_target_nominal(state, target):
     if "->" in target:
-        link = state.link(*cluster.split_link_key(target))
-        return cluster.in_band(link.added_delay_ms, 0.0) and cluster.in_band(link.loss_pct, 0.0)
+        delay, loss = state.link_metrics[state.link(*cluster.split_link_key(target))]
+        return cluster.in_band(delay, 0.0) and cluster.in_band(loss, 0.0)
     if target not in state.topology.services:
         raise NotFoundError(f"unknown service {target!r}")
     baseline = state.topology.service(target).baseline
-    pods = state.service_pods(target)
-    if not pods:
+    rows = state.service_rows(target)
+    if not rows:
         return False
-    for pod in pods:
-        if pod.phase != PodPhase.RUNNING or not (
-            cluster.in_band(pod.cpu_pct, baseline.cpu_pct)
-            and cluster.in_band(pod.mem_pct, baseline.mem_pct)
-            and cluster.in_band(pod.io_await_ms, baseline.io_await_ms)
+    for row in rows:
+        cpu, mem, io = state.pod_metrics[row]
+        if PHASES[state.pod_phase[row]] != PodPhase.RUNNING or not (
+            cluster.in_band(cpu, baseline.cpu_pct)
+            and cluster.in_band(mem, baseline.mem_pct)
+            and cluster.in_band(io, baseline.io_await_ms)
         ):
             return False
     return True
@@ -412,7 +418,7 @@ def _catalog_command(state, records, op, which):
     named = [svc for r in records for svc in cluster.target_services(r.spec.target)]
     svc = _pick(list(state.topology.services), named, which)
     if op == "delete":
-        crashed = [p for p in state.pods if p.phase != PodPhase.RUNNING]
+        crashed = [p for p, code in zip(state.pods, state.pod_phase) if PHASES[code] != PodPhase.RUNNING]
         pod = _pick(state.pods, crashed, which)
         return None if pod is None else f"kubectl delete pod {pod.pod_id}"
     if op == "restart":
@@ -423,8 +429,9 @@ def _catalog_command(state, records, op, which):
     if op == "pkill":
         return f"pkill {_pick(sorted(state.process_table), [], which) or 'cpu_stress-' + svc}"
     if op == "tc":
-        shaped = [link for link in state.links if any(r.spec.target == link.key for r in records)]
-        link = _pick(state.links, shaped, which)
+        links = state.topology.links
+        shaped = [l for l in links if any(r.spec.target == cluster.link_key(l.src, l.dst) for r in records)]
+        link = _pick(links, shaped, which)
         return f"tc qdisc del dev {link.src}:{link.dst} {('netem delay', 'netem loss', '')[which % 3]}"
     config = state.topology.service(svc).config
     key = sorted(config)[which % len(config)] if config else "none"

@@ -134,23 +134,25 @@ def test_api_key_is_sent_as_a_bearer_token(mock_endpoint, simple_micro):
     assert _MockHandler.authorization == ["Bearer sk-demo", None]
 
 
-def test_over_cap_reply_is_a_transport_error(mock_endpoint, simple_micro):
+def test_over_cap_reply_is_a_transport_error(mock_endpoint, simple_micro, monkeypatch):
+    monkeypatch.setattr(llm, "BACKOFF_S", 0.01)
     _MockHandler.responses = [_completion("x" * llm.MAX_REPLY_BYTES)]
-    policy = LlmPolicy(EndpointConfig(url=mock_endpoint, backoff_s=0.01))
+    policy = LlmPolicy(EndpointConfig(url=mock_endpoint))
     with pytest.raises(TransportError, match="longer than"):
         policy.decide(_input(simple_micro))
     assert len(_MockHandler.calls) == 1
 
 
-def test_unreachable_endpoint_raises_after_retries(simple_micro):
-    config = EndpointConfig(
-        url="http://127.0.0.1:9/nothing", max_retries=2, backoff_s=0.01, timeout_s=0.5
-    )
+def test_unreachable_endpoint_raises_after_retries(simple_micro, monkeypatch):
+    monkeypatch.setattr(llm, "MAX_RETRIES", 2)
+    monkeypatch.setattr(llm, "BACKOFF_S", 0.01)
+    monkeypatch.setattr(llm, "TIMEOUT_S", 0.5)
+    config = EndpointConfig(url="http://127.0.0.1:9/nothing")
     with pytest.raises(TransportError, match="after 2 attempts"):
         LlmPolicy(config).decide(_input(simple_micro))
 
 
-def test_retry_then_success(mock_endpoint, simple_micro):
+def test_retry_then_success(mock_endpoint, simple_micro, monkeypatch):
     # first response missing -> 500, then a good one
     _MockHandler.responses = []
 
@@ -159,13 +161,14 @@ def test_retry_then_success(mock_endpoint, simple_micro):
 
     timer = threading.Timer(0.2, feed)
     timer.start()
-    policy = LlmPolicy(EndpointConfig(url=mock_endpoint, backoff_s=0.3))
+    monkeypatch.setattr(llm, "BACKOFF_S", 0.3)
+    policy = LlmPolicy(EndpointConfig(url=mock_endpoint))
     out = policy.decide(_input(simple_micro))
     assert isinstance(out, ProbeRequest)
     timer.cancel()
 
 
-def test_inflight_requests_are_bounded(simple_micro):
+def test_inflight_requests_are_bounded(simple_micro, monkeypatch):
     import threading
     import time
     from http.server import ThreadingHTTPServer
@@ -191,10 +194,8 @@ def test_inflight_requests_are_bounded(simple_micro):
     server = ThreadingHTTPServer(("127.0.0.1", 0), SlowHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
-        config = EndpointConfig(
-            url=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
-            max_inflight=2,
-        )
+        monkeypatch.setattr(llm, "MAX_INFLIGHT", 2)
+        config = EndpointConfig(url=f"http://127.0.0.1:{server.server_port}/v1/chat/completions")
         inp = _input(simple_micro)
         threads = [
             threading.Thread(target=lambda: LlmPolicy(config).decide(inp))
